@@ -57,7 +57,7 @@ def _cmd_run(args) -> int:
         return EXIT_USAGE
     result.trace.write(args.out)
     if result.diverged:
-        print(f"diverged at step {result.trace.diverged_at}; partial trace in {args.out}", file=sys.stderr)
+        print(f"diverged at step {result.trace.diverged_at}: {result.cause}; partial trace in {args.out}", file=sys.stderr)
         return EXIT_DIVERGED
     print(f"wrote {result.trace.steps} steps to {args.out}")
     return EXIT_OK

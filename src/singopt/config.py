@@ -1,15 +1,19 @@
 """Plain key-value run configuration files.
 
-Format: one ``key = value`` pair per line, ``#`` comments and blank lines
-ignored.  Recognized keys cover the optimizer pipeline
-(``optimizer.*``, ``sing.*``, ``lookahead.*``, ``schedule.*``,
-``weight_decay``, ``weight_decay_skip``), the task under optimization
-(``task.*``) and the ``seed``.  Parse errors carry the line number.
+Format: one ``key = value`` pair per line; blank lines and lines starting
+with ``#`` are ignored (a ``#`` after a value is part of the value).
+:data:`SCHEMA` lists every key once.  Every key is checked when the file
+is read: a value that does not parse, or is not finite, is a
+:class:`ConfigError` naming its line.  Range checks stay with the objects
+the values build.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from collections import defaultdict
+from dataclasses import dataclass
+from typing import Any
 
 from .optimizers import (
     ConfigError,
@@ -20,42 +24,7 @@ from .optimizers import (
 )
 from .standardize import StandardizeConfig
 
-__all__ = ["RunSetup", "parse_config", "parse_config_file", "snapshot"]
-
-_DEFAULTS: dict[str, str] = {
-    "optimizer.kind": "adamw",
-    "optimizer.momentum": "0.0",
-    "optimizer.beta1": "0.9",
-    "optimizer.beta2": "0.999",
-    "optimizer.eps": "1e-8",
-    "optimizer.softplus": "false",
-    "optimizer.softplus_beta": "50.0",
-    "sing.enabled": "true",
-    "sing.centralize": "true",
-    "sing.epsilon": "1e-8",
-    "lookahead.enabled": "false",
-    "lookahead.k": "5",
-    "lookahead.alpha": "0.5",
-    "schedule.kind": "cosine",
-    "schedule.base_lr": "0.05",
-    "schedule.warmup_steps": "0",
-    "schedule.total_steps": "100",
-    "weight_decay": "0.0",
-    "weight_decay_skip": "",
-    "seed": "0",
-    "task.kind": "wells1d",
-    "task.start": "-6.0",
-    "task.blocks": "1",
-    "task.block_shape": "4",
-    "task.smoothness": "2.0",
-    "task.f0": "1.0",
-    "task.n": "2000",
-    "task.classes": "3",
-    "task.input_dim": "2",
-    "task.hidden": "16",
-    "task.spread": "0.3",
-    "task.batch_size": "128",
-}
+__all__ = ["SCHEMA", "RunSetup", "parse_config", "parse_config_file"]
 
 
 @dataclass(frozen=True)
@@ -65,38 +34,86 @@ class RunSetup:
     pipeline: SingPipelineConfig
     schedule: Schedule
     seed: int
-    task: dict[str, str]
-    raw: dict[str, str] = field(default_factory=dict)
+    task: dict[str, Any]  # the task.* values, keyed without the prefix
+    raw: dict[str, str]  # every key's text as written, for trace headers
 
 
-def _parse_bool(key: str, value: str, lineno: int | None = None) -> bool:
-    if value.lower() in ("true", "1", "yes", "on"):
+def _bool(text: str) -> bool:
+    if text.lower() in ("true", "1", "yes", "on"):
         return True
-    if value.lower() in ("false", "0", "no", "off"):
+    if text.lower() in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(_msg(lineno, f"{key}: expected a boolean, got {value!r}"))
+    raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _parse_float(key: str, value: str, lineno: int | None = None) -> float:
+def _float(text: str) -> float:
     try:
-        return float(value)
+        value = float(text)
     except ValueError:
-        raise ConfigError(_msg(lineno, f"{key}: expected a number, got {value!r}")) from None
+        raise ValueError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
 
 
-def _parse_int(key: str, value: str, lineno: int | None = None) -> int:
+def _int(text: str) -> int:
     try:
-        return int(value)
+        return int(text)
     except ValueError:
-        raise ConfigError(_msg(lineno, f"{key}: expected an integer, got {value!r}")) from None
+        raise ValueError(f"expected an integer, got {text!r}") from None
 
 
-def _msg(lineno: int | None, text: str) -> str:
-    return f"line {lineno}: {text}" if lineno is not None else text
+def _tuple_of(parse, sep: str):
+    return lambda text: tuple(parse(part) for part in text.split(sep))
+
+
+def _names(text: str) -> frozenset[str]:
+    return frozenset(name.strip() for name in text.split(",") if name.strip())
+
+
+# key: (default text, parser, group, field).  Each group's fields build one
+# object: host -> HostOptimizerConfig, lookahead -> LookAheadConfig,
+# schedule -> Schedule, pipeline -> SingPipelineConfig, setup -> RunSetup,
+# task -> RunSetup.task; sing -> StandardizeConfig, where sing.enabled
+# switches both stages and sing.centralize only the first.
+SCHEMA: dict[str, tuple] = {
+    "optimizer.kind": ("adamw", str.lower, "host", "kind"),
+    "optimizer.momentum": ("0.0", _float, "host", "momentum"),
+    "optimizer.beta1": ("0.9", _float, "host", "beta1"),
+    "optimizer.beta2": ("0.999", _float, "host", "beta2"),
+    "optimizer.eps": ("1e-8", _float, "host", "eps_opt"),
+    "optimizer.softplus": ("false", _bool, "host", "softplus_enabled"),
+    "optimizer.softplus_beta": ("50.0", _float, "host", "softplus_beta"),
+    "sing.enabled": ("true", _bool, "sing", "enabled"),
+    "sing.centralize": ("true", _bool, "sing", "centralize"),
+    "sing.epsilon": ("1e-8", _float, "sing", "epsilon"),
+    "lookahead.enabled": ("false", _bool, "lookahead", "enabled"),
+    "lookahead.k": ("5", _int, "lookahead", "k"),
+    "lookahead.alpha": ("0.5", _float, "lookahead", "alpha"),
+    "schedule.kind": ("cosine", str.lower, "schedule", "kind"),
+    "schedule.base_lr": ("0.05", _float, "schedule", "base_lr"),
+    "schedule.warmup_steps": ("0", _int, "schedule", "warmup_steps"),
+    "schedule.total_steps": ("100", _int, "schedule", "total_steps"),
+    "weight_decay": ("0.0", _float, "pipeline", "weight_decay"),
+    "weight_decay_skip": ("", _names, "pipeline", "weight_decay_skip"),
+    "seed": ("0", _int, "setup", "seed"),
+    "task.kind": ("wells1d", str.lower, "task", "kind"),
+    "task.start": ("-6.0", _tuple_of(_float, ","), "task", "start"),
+    "task.blocks": ("1", _int, "task", "blocks"),
+    "task.block_shape": ("4", _tuple_of(_int, "x"), "task", "block_shape"),
+    "task.smoothness": ("2.0", _float, "task", "smoothness"),
+    "task.f0": ("1.0", _float, "task", "f0"),
+    "task.n": ("2000", _int, "task", "n"),
+    "task.classes": ("3", _int, "task", "classes"),
+    "task.input_dim": ("2", _int, "task", "input_dim"),
+    "task.hidden": ("16", _int, "task", "hidden"),
+    "task.spread": ("0.3", _float, "task", "spread"),
+    "task.batch_size": ("128", _int, "task", "batch_size"),
+}
 
 
 def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunSetup:
-    values = dict(_DEFAULTS)
+    values = {key: row[0] for key, row in SCHEMA.items()}
     lineno_of: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -106,68 +123,41 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunSetup
             raise ConfigError(f"line {lineno}: expected 'key = value', got {stripped!r}")
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _DEFAULTS:
+        if key not in SCHEMA:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         values[key] = value
         lineno_of[key] = lineno
-    if overrides:
-        values.update(overrides)
+    for key, value in (overrides or {}).items():
+        values[key] = value
+        lineno_of.pop(key, None)
 
-    def ln(key: str) -> int | None:
-        return lineno_of.get(key)
+    fields: dict[str, dict[str, Any]] = defaultdict(dict)
+    for key, (_, parse, group, name) in SCHEMA.items():
+        try:
+            fields[group][name] = parse(values[key])
+        except ValueError as exc:
+            where = f"line {lineno_of[key]}: " if key in lineno_of else ""
+            raise ConfigError(f"{where}{key}: {exc}") from None
 
-    sing_enabled = _parse_bool("sing.enabled", values["sing.enabled"], ln("sing.enabled"))
-    sing_centralize = _parse_bool("sing.centralize", values["sing.centralize"], ln("sing.centralize"))
-    standardize = StandardizeConfig(
-        centralize_enabled=sing_enabled and sing_centralize,
-        normalize_enabled=sing_enabled,
-        epsilon=_parse_float("sing.epsilon", values["sing.epsilon"], ln("sing.epsilon")),
-    )
-    host = HostOptimizerConfig(
-        kind=values["optimizer.kind"].lower(),
-        momentum=_parse_float("optimizer.momentum", values["optimizer.momentum"], ln("optimizer.momentum")),
-        beta1=_parse_float("optimizer.beta1", values["optimizer.beta1"], ln("optimizer.beta1")),
-        beta2=_parse_float("optimizer.beta2", values["optimizer.beta2"], ln("optimizer.beta2")),
-        eps_opt=_parse_float("optimizer.eps", values["optimizer.eps"], ln("optimizer.eps")),
-        softplus_enabled=_parse_bool("optimizer.softplus", values["optimizer.softplus"], ln("optimizer.softplus")),
-        softplus_beta=_parse_float(
-            "optimizer.softplus_beta", values["optimizer.softplus_beta"], ln("optimizer.softplus_beta")
-        ),
-    )
-    lookahead = LookAheadConfig(
-        enabled=_parse_bool("lookahead.enabled", values["lookahead.enabled"], ln("lookahead.enabled")),
-        k=_parse_int("lookahead.k", values["lookahead.k"], ln("lookahead.k")),
-        alpha=_parse_float("lookahead.alpha", values["lookahead.alpha"], ln("lookahead.alpha")),
-    )
-    schedule = Schedule(
-        kind=values["schedule.kind"].lower(),
-        base_lr=_parse_float("schedule.base_lr", values["schedule.base_lr"], ln("schedule.base_lr")),
-        warmup_steps=_parse_int("schedule.warmup_steps", values["schedule.warmup_steps"], ln("schedule.warmup_steps")),
-        total_steps=_parse_int("schedule.total_steps", values["schedule.total_steps"], ln("schedule.total_steps")),
-    )
-    skip = frozenset(name.strip() for name in values["weight_decay_skip"].split(",") if name.strip())
-    pipeline = SingPipelineConfig(
-        standardize=standardize,
-        host=host,
-        lookahead=lookahead,
-        weight_decay=_parse_float("weight_decay", values["weight_decay"], ln("weight_decay")),
-        weight_decay_skip=skip,
-    )
-    task = {key[len("task."):]: value for key, value in values.items() if key.startswith("task.")}
-    return RunSetup(
-        pipeline=pipeline,
-        schedule=schedule,
-        seed=_parse_int("seed", values["seed"], ln("seed")),
-        task=task,
-        raw=values,
-    )
+    sing = fields["sing"]
+    try:
+        standardize = StandardizeConfig(
+            centralize_enabled=sing["enabled"] and sing["centralize"],
+            normalize_enabled=sing["enabled"],
+            epsilon=sing["epsilon"],
+        )
+        pipeline = SingPipelineConfig(
+            standardize=standardize,
+            host=HostOptimizerConfig(**fields["host"]),
+            lookahead=LookAheadConfig(**fields["lookahead"]),
+            **fields["pipeline"],
+        )
+        schedule = Schedule(**fields["schedule"])
+    except ValueError as exc:  # StandardizeConfig raises a plain ValueError
+        raise ConfigError(str(exc)) from None
+    return RunSetup(pipeline=pipeline, schedule=schedule, task=fields["task"], raw=values, **fields["setup"])
 
 
 def parse_config_file(path, overrides: dict[str, str] | None = None) -> RunSetup:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read(), overrides)
-
-
-def snapshot(setup: RunSetup) -> dict[str, str]:
-    """Normalized key-value form of a setup, for trace headers."""
-    return dict(setup.raw)

@@ -185,11 +185,6 @@ class GaussianWells1D(Landscape):
                 minima.append(0.5 * (a + b))
         return minima
 
-    def global_minimum(self) -> float:
-        minima = self.local_minima()
-        values = [float(self.value(m)) for m in minima]
-        return minima[int(np.argmin(values))]
-
     def as_point(self, t: float) -> BlockedVector:
         return BlockedVector(np.array([t]), self.partition)
 

@@ -7,8 +7,10 @@ parameter-update norm, the global parameter mean and per-block parameter
 norms.  Oracle norms (rather than minibatch ones) are logged so
 convergence audits can be evaluated directly from the trace.
 
-Divergence (non-finite loss, gradient or parameters) stops the run; the
-partial trace carries a ``diverged`` footer.
+Divergence (non-finite loss, gradient or parameters, or a zero-norm
+gradient block that cannot be normalized at ``epsilon = 0``) stops the
+run; the partial trace carries a ``diverged`` footer and the result
+names the cause.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocked import BlockedVector, BlockPartition
-from .config import RunSetup, snapshot
+from .config import RunSetup
 from .landscapes import (
     EvaluationError,
     GaussianWells1D,
@@ -30,7 +32,7 @@ from .landscapes import (
 )
 from .optimizers import ConfigError, OptimizerState, lr_at, step
 from .rng import Xoshiro256, derive_seed
-from .standardize import centralize
+from .standardize import ZeroGradientBlockError, centralize
 from .trace import RunTrace
 
 __all__ = ["RunResult", "build_task", "run_experiment", "run_setup"]
@@ -41,7 +43,11 @@ class RunResult:
     trace: RunTrace
     final_params: BlockedVector
     landscape: Landscape
-    diverged: bool
+    cause: str | None = None  # why the run stopped early; None if it finished
+
+    @property
+    def diverged(self) -> bool:
+        return self.cause is not None
 
 
 class EpochBatcher:
@@ -65,50 +71,52 @@ class EpochBatcher:
         return idx
 
 
-def _parse_start(text: str, p: int) -> np.ndarray:
-    parts = [float(v) for v in text.split(",")]
-    if len(parts) == 1 and p > 1:
-        return np.full(p, parts[0])
-    if len(parts) != p:
-        raise ConfigError(f"task.start has {len(parts)} values, task needs {p}")
-    return np.array(parts)
+def _parse_start(start: tuple[float, ...], p: int) -> np.ndarray:
+    if len(start) == 1 and p > 1:
+        return np.full(p, start[0])
+    if len(start) != p:
+        raise ConfigError(f"task.start has {len(start)} values, task needs {p}")
+    return np.array(start)
 
 
 def build_task(setup: RunSetup) -> tuple[Landscape, BlockedVector, EpochBatcher | None]:
-    """Instantiate the configured landscape, its start point and batch source."""
+    """Instantiate the configured landscape, its start point and batch source.
+
+    The landscapes check their own arguments; a value they reject is
+    reported as a :class:`ConfigError`.
+    """
     task = setup.task
-    kind = task["kind"].lower()
-    if kind == "wells1d":
-        landscape = GaussianWells1D.default()
-        x0 = landscape.as_point(float(task["start"].split(",")[0]))
-        return landscape, x0, None
-    if kind == "rosenbrock":
-        landscape = Rosenbrock()
-        x0 = BlockedVector(_parse_start(task["start"], 2), landscape.partition)
-        return landscape, x0, None
-    if kind == "quadratic":
-        blocks = int(task["blocks"])
-        shape = tuple(int(d) for d in task["block_shape"].split("x"))
-        partition = BlockPartition.of([(f"b{k}", shape) for k in range(blocks)])
-        landscape = Quadratic(partition, smoothness=float(task["smoothness"]))
-        gen = Xoshiro256(derive_seed(setup.seed, 0x900D))
-        raw = gen.normals(partition.p)
-        f0 = float(task["f0"])
-        # scale so F(x0) = f0 (up to rounding); keeps the recipe's F0 an upper bound
-        raw *= np.sqrt(2.0 * f0 / landscape.smoothness) / np.linalg.norm(raw)
-        return landscape, BlockedVector(raw, partition), None
-    if kind == "mlp":
-        dataset = make_blobs(
-            seed=setup.seed,
-            n=int(task["n"]),
-            classes=int(task["classes"]),
-            dim=int(task["input_dim"]),
-            spread=float(task["spread"]),
-        )
-        mlp = MlpTask(dataset, hidden=int(task["hidden"]), init_seed=setup.seed)
-        batcher = EpochBatcher(dataset.n, int(task["batch_size"]), setup.seed)
-        return mlp, mlp.initial_params(), batcher
-    raise ConfigError(f"unknown task.kind {task['kind']!r}")
+    kind = task["kind"]
+    try:
+        if kind == "wells1d":
+            landscape = GaussianWells1D.default()
+            return landscape, landscape.as_point(task["start"][0]), None
+        if kind == "rosenbrock":
+            landscape = Rosenbrock()
+            x0 = BlockedVector(_parse_start(task["start"], 2), landscape.partition)
+            return landscape, x0, None
+        if kind == "quadratic":
+            partition = BlockPartition.of([(f"b{k}", task["block_shape"]) for k in range(task["blocks"])])
+            landscape = Quadratic(partition, smoothness=task["smoothness"])
+            gen = Xoshiro256(derive_seed(setup.seed, 0x900D))
+            raw = gen.normals(partition.p)
+            # scale so F(x0) = f0 (up to rounding); keeps the recipe's F0 an upper bound
+            raw *= np.sqrt(2.0 * task["f0"] / landscape.smoothness) / np.linalg.norm(raw)
+            return landscape, BlockedVector(raw, partition), None
+        if kind == "mlp":
+            dataset = make_blobs(
+                seed=setup.seed,
+                n=task["n"],
+                classes=task["classes"],
+                dim=task["input_dim"],
+                spread=task["spread"],
+            )
+            mlp = MlpTask(dataset, hidden=task["hidden"], init_seed=setup.seed)
+            batcher = EpochBatcher(dataset.n, task["batch_size"], setup.seed)
+            return mlp, mlp.initial_params(), batcher
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    raise ConfigError(f"unknown task.kind {kind!r}")
 
 
 def run_experiment(
@@ -119,8 +127,12 @@ def run_experiment(
 ) -> RunResult:
     params = x0.copy()
     state = OptimizerState(params)
-    trace = RunTrace(partition=params.partition, seed=setup.seed, config=snapshot(setup))
+    trace = RunTrace(partition=params.partition, seed=setup.seed, config=setup.raw)
     schedule = setup.schedule
+
+    def stop(t: int, cause: str) -> RunResult:
+        trace.diverged_at = t
+        return RunResult(trace, params, landscape, cause)
 
     for t in range(schedule.total_steps):
         lr = lr_at(schedule, t)
@@ -132,17 +144,13 @@ def run_experiment(
                 else:
                     loss, grad = landscape.evaluate(params)
                     oracle_grad = grad
-        except EvaluationError:
-            trace.diverged_at = t
-            return RunResult(trace, params, landscape, diverged=True)
-        if not np.isfinite(loss) or not np.all(np.isfinite(grad.values)):
-            trace.diverged_at = t
-            return RunResult(trace, params, landscape, diverged=True)
-
-        new_params = step(params, grad, state, setup.pipeline, schedule)
+            if not np.isfinite(loss) or not np.all(np.isfinite(grad.values)):
+                return stop(t, "non-finite loss or gradient")
+            new_params = step(params, grad, state, setup.pipeline, schedule)
+        except (EvaluationError, ZeroGradientBlockError) as exc:
+            return stop(t, str(exc))
         if not np.all(np.isfinite(new_params.values)):
-            trace.diverged_at = t
-            return RunResult(trace, params, landscape, diverged=True)
+            return stop(t, "non-finite parameters")
 
         update_l2 = float(np.linalg.norm(new_params.values - params.values))
         grad_phi = float(np.linalg.norm(centralize(oracle_grad).values))
@@ -158,7 +166,7 @@ def run_experiment(
         )
         params = new_params
 
-    return RunResult(trace, params, landscape, diverged=False)
+    return RunResult(trace, params, landscape)
 
 
 def run_setup(setup: RunSetup) -> RunResult:

@@ -253,20 +253,22 @@ def phi_pseudo_norm(v: BlockedVector) -> float:
     return math.sqrt(max(0.0, v.dot(centralize(v))))
 
 
+def _block_phi_norms(v: BlockedVector) -> list[float]:
+    """The centralized pseudo-norm of every block alone."""
+    c = centralize(v)
+    return [
+        math.sqrt(max(0.0, float(np.dot(v.block_flat(k), c.block_flat(k))))) for k in range(v.partition.D)
+    ]
+
+
 def block_phi_norm(v: BlockedVector, k: int) -> float:
     """The centralized pseudo-norm of block ``k`` alone."""
-    block = v.block(k)
-    if block.ndim > 1:
-        axes = tuple(range(1, block.ndim))
-        cent = block - block.mean(axis=axes, keepdims=True)
-    else:
-        cent = block
-    return math.sqrt(max(0.0, float(np.dot(block.reshape(-1), cent.reshape(-1)))))
+    return _block_phi_norms(v)[k]
 
 
 def structured_phi_norm(v: BlockedVector) -> float:
     """Sum over blocks of the per-block centralized pseudo-norm."""
-    return float(sum(block_phi_norm(v, k) for k in range(v.partition.D)))
+    return float(sum(_block_phi_norms(v)))
 
 
 def estimate_smoothness(

@@ -18,6 +18,7 @@ import numpy as np
 from . import standardize
 from .blocked import BlockedVector, BlockPartition
 from .config import parse_config
+from .demo import narrow_wells_with_radii
 from .landscapes import GaussianWells1D, MlpTask, Quadratic, Rosenbrock, fd_gradient, make_blobs
 from .optimizers import (
     HostOptimizerConfig,
@@ -32,10 +33,8 @@ from .runner import EpochBatcher, run_experiment, run_setup
 from .standardize import StandardizeConfig
 from .theory import (
     ConvergenceRecipe,
-    block_phi_norm,
     convergence_audit,
     escape_thresholds,
-    estimate_basin_radius,
     estimate_smoothness,
     interior_grid_1d,
     phi_pseudo_norm,
@@ -386,13 +385,9 @@ def check_escape(seed: int = 0) -> list[CheckRecord]:
     records.append(_record("escape.threshold_ordering", worst, 0.0, d_range="1..32"))
 
     landscape = GaussianWells1D.default()
-    minima = landscape.local_minima()
-    values = [float(landscape.value(m)) for m in minima]
-    wide = minima[int(np.argmin(values))]
-    narrow = [m for m in minima if m != wide]
-    for m in narrow:
+    narrow, radii, _ = narrow_wells_with_radii(landscape)
+    for m, r_hat in zip(narrow, radii):
         x_star = landscape.as_point(m)
-        r_hat = estimate_basin_radius(landscape, x_star, r_max=4.0, n_radial=8000)
         eta = 1.05 * escape_thresholds(r_hat, 1.0, 1).eta_sing
         starts = interior_grid_1d(m, r_hat, 1000)
         escaped, usable = single_step_escape_check(landscape, x_star, r_hat, eta, "sing", starts)

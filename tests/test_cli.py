@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +48,15 @@ def test_parse_config_reports_line_numbers():
         parse_config("# comment\n\nschedule.total_steps = many\n")
     with pytest.raises(ConfigError, match="line 1"):
         parse_config("just some words\n")
+    # every key is parsed eagerly, whatever the task kind
+    with pytest.raises(ConfigError, match="line 2: task.block_shape: expected an integer, got 'q'"):
+        parse_config("task.kind = wells1d\ntask.block_shape = 2xq\n")
+    with pytest.raises(ConfigError, match="line 1: task.start: expected a number, got 'abc'"):
+        parse_config("task.start = abc\n")
+    with pytest.raises(ConfigError, match="line 3: sing.epsilon: expected a finite number, got 'nan'"):
+        parse_config("\n\nsing.epsilon = nan\n")
+    with pytest.raises(ConfigError, match="line 1: task.f0: expected a finite number, got '-inf'"):
+        parse_config("task.f0 = -inf\n")
 
 
 def test_parse_config_sing_master_switch():
@@ -117,6 +127,51 @@ def test_run_zero_steps_is_usage_error(tmp_path):
 
 def test_run_missing_config_is_usage_error(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o.csv")]) == 2
+
+
+BAD_RUNS = [
+    # (config lines, exit code, what stderr must name); parse errors name the line
+    ("task.kind = quadratic\ntask.block_shape = 2xq", 2, "line 2: task.block_shape"),
+    ("task.kind = mlp\ntask.n = many", 2, "line 2: task.n"),
+    ("task.kind = rosenbrock\ntask.start = abc", 2, "line 2: task.start"),
+    ("task.kind = wells1d\nschedule.base_lr = nan", 2, "line 2: schedule.base_lr"),
+    ("task.kind = wells1d\nsing.epsilon = nan", 2, "line 2: sing.epsilon"),
+    ("task.kind = wells1d\nweight_decay = nan", 2, "line 2: weight_decay"),
+    # values the task or the pipeline rejects
+    ("task.kind = mlp\ntask.classes = 1", 2, "classes"),
+    ("task.kind = mlp\ntask.hidden = 0", 2, "hidden"),
+    ("task.kind = quadratic\ntask.blocks = 0", 2, "block"),
+    ("task.kind = quadratic\ntask.smoothness = -1", 2, "smoothness"),
+    ("task.kind = wells1d\nsing.epsilon = -1", 2, "epsilon"),
+    # a zero gradient block cannot be normalized at epsilon = 0: divergence
+    ("task.kind = quadratic\ntask.f0 = 0\nsing.epsilon = 0", 3, "zero-norm gradient block 'b0'"),
+]
+
+
+@pytest.mark.parametrize("text, code, named", BAD_RUNS, ids=[text.splitlines()[-1] for text, _, _ in BAD_RUNS])
+def test_run_bad_config_exits_cleanly(tmp_path, capsys, text, code, named):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text + "\n")
+    out = tmp_path / "o.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert named in err
+    if code == 3:
+        assert out.read_text().splitlines()[-1] == "# diverged step=0"
+
+
+def test_readme_config_block_parses_and_builds():
+    from singopt.runner import build_task
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("A config file is plain", 1)[1].split("```\n", 2)[1]
+    setup = parse_config(block)
+    assert setup.task["kind"] == "mlp"
+    assert setup.pipeline.host.kind == "adamw"
+    assert setup.schedule.total_steps == 3200
+    landscape, x0, batcher = build_task(setup)
+    assert batcher is not None and x0.partition == landscape.partition
 
 
 def test_run_divergence_exit_code_and_footer(tmp_path):
