@@ -4,8 +4,9 @@ Format: one ``key = value`` pair per line; blank lines and lines starting
 with ``#`` are ignored (a ``#`` after a value is part of the value).
 :data:`SCHEMA` lists every key once.  Every key is checked when the file
 is read: a value that does not parse, or is not finite, is a
-:class:`ConfigError` naming its line.  Range checks stay with the objects
-the values build.
+:class:`ConfigError` naming its line, and so is a negative ``task.f0``
+(it scales the quadratic start point through a square root).  Other range
+checks stay with the objects the values build.
 """
 
 from __future__ import annotations
@@ -56,6 +57,13 @@ def _float(text: str) -> float:
     return value
 
 
+def _nonnegative(text: str) -> float:
+    value = _float(text)
+    if value < 0:
+        raise ValueError(f"must be >= 0, got {text!r}")
+    return value
+
+
 def _int(text: str) -> int:
     try:
         return int(text)
@@ -102,7 +110,7 @@ SCHEMA: dict[str, tuple] = {
     "task.blocks": ("1", _int, "task", "blocks"),
     "task.block_shape": ("4", _tuple_of(_int, "x"), "task", "block_shape"),
     "task.smoothness": ("2.0", _float, "task", "smoothness"),
-    "task.f0": ("1.0", _float, "task", "f0"),
+    "task.f0": ("1.0", _nonnegative, "task", "f0"),
     "task.n": ("2000", _int, "task", "n"),
     "task.classes": ("3", _int, "task", "classes"),
     "task.input_dim": ("2", _int, "task", "input_dim"),

@@ -253,6 +253,11 @@ class MlpTask(Landscape):
     leaving an all-rank-2 partition with D = 2.  The loss (and its
     gradient) is optionally multiplied by ``loss_scale``, which is how the
     objective-rescaling invariance is exercised.
+
+    ``evaluate`` and ``minibatch`` share one forward/backward pass.  The
+    task keeps its full-batch scratch arrays between calls, so one task
+    must not be evaluated from two threads at once.  Returned gradients
+    are fresh vectors and never alias those arrays.
     """
 
     def __init__(
@@ -280,6 +285,7 @@ class MlpTask(Landscape):
         if with_bias:
             blocks.append(("b2", (classes,)))
         self.partition = BlockPartition.of(blocks)
+        self._full_batch: tuple[np.ndarray, ...] | None = None
 
     def initial_params(self) -> BlockedVector:
         """Deterministic init: weights ~ normal / sqrt(fan_in), biases zero."""
@@ -309,33 +315,57 @@ class MlpTask(Landscape):
             b2 = np.zeros(self.dataset.classes)
         return w1, b1, w2, b2
 
-    def _loss_and_grad(self, x: BlockedVector, idx: np.ndarray) -> tuple[float, BlockedVector]:
-        w1, b1, w2, b2 = self._unpack(x)
-        xb = self.dataset.xs[idx]
-        yb = self.dataset.labels[idx]
-        batch = xb.shape[0]
+    def _buffers(self, batch: int) -> tuple[np.ndarray, ...]:
+        """Scratch arrays h, gh (batch x hidden) and z2, e (batch x classes).
 
-        z1 = xb @ w1.T + b1
-        h = np.tanh(z1)
-        z2 = h @ w2.T + b2
+        The full-batch set is built on first use and kept; other batch
+        sizes get fresh arrays.
+        """
+        if batch == self.dataset.n and self._full_batch is not None:
+            return self._full_batch
+        classes = self.dataset.classes
+        buffers = (
+            np.empty((batch, self.hidden)),
+            np.empty((batch, self.hidden)),
+            np.empty((batch, classes)),
+            np.empty((batch, classes)),
+        )
+        if batch == self.dataset.n:
+            self._full_batch = buffers
+        return buffers
+
+    def _loss_and_grad(self, x: BlockedVector, xb: np.ndarray, yb: np.ndarray) -> tuple[float, BlockedVector]:
+        w1, b1, w2, b2 = self._unpack(x)
+        batch = xb.shape[0]
+        rows = np.arange(batch)
+        h, gh, z2, e = self._buffers(batch)
+
+        np.matmul(xb, w1.T, out=h)
+        h += b1
+        np.tanh(h, out=h)
+        np.matmul(h, w2.T, out=z2)
+        z2 += b2
 
         zmax = z2.max(axis=1, keepdims=True)
-        shifted = z2 - zmax
-        logsumexp = np.log(np.exp(shifted).sum(axis=1)) + zmax[:, 0]
-        loss = float(np.mean(logsumexp - z2[np.arange(batch), yb]))
+        np.subtract(z2, zmax, out=e)
+        np.exp(e, out=e)
+        total = e.sum(axis=1)
+        logsumexp = np.log(total) + zmax[:, 0]
+        loss = float(np.mean(logsumexp - z2[rows, yb]))
 
-        probs = np.exp(shifted)
-        probs /= probs.sum(axis=1, keepdims=True)
-        gz2 = probs
-        gz2[np.arange(batch), yb] -= 1.0
-        gz2 /= batch
+        # e becomes the softmax probabilities, then the gradient wrt z2
+        e /= total[:, None]
+        e[rows, yb] -= 1.0
+        e /= batch
 
-        gw2 = gz2.T @ h
-        gb2 = gz2.sum(axis=0)
-        gh = gz2 @ w2
-        gz1 = gh * (1.0 - h * h)
-        gw1 = gz1.T @ xb
-        gb1 = gz1.sum(axis=0)
+        gw2 = e.T @ h
+        gb2 = e.sum(axis=0)
+        np.matmul(e, w2, out=gh)
+        np.multiply(h, h, out=h)
+        np.subtract(1.0, h, out=h)  # h is now tanh' = 1 - h*h
+        gh *= h
+        gw1 = gh.T @ xb
+        gb1 = gh.sum(axis=0)
 
         arrays = [gw1]
         if self.with_bias:
@@ -352,7 +382,7 @@ class MlpTask(Landscape):
     def evaluate(self, x: BlockedVector) -> tuple[float, BlockedVector]:
         if x.partition != self.partition:
             raise ValueError("partition mismatch")
-        loss, grad = self._loss_and_grad(x, np.arange(self.dataset.n))
+        loss, grad = self._loss_and_grad(x, self.dataset.xs, self.dataset.labels)
         return self._checked(x, loss, grad.values)
 
     def minibatch(self, x: BlockedVector, idx: np.ndarray) -> tuple[float, BlockedVector]:
@@ -361,7 +391,7 @@ class MlpTask(Landscape):
             raise ValueError("batch must be nonempty")
         if idx.min() < 0 or idx.max() >= self.dataset.n:
             raise ValueError(f"batch indices outside [0, {self.dataset.n})")
-        loss, grad = self._loss_and_grad(x, idx)
+        loss, grad = self._loss_and_grad(x, self.dataset.xs[idx], self.dataset.labels[idx])
         return self._checked(x, loss, grad.values)
 
     def accuracy(self, x: BlockedVector) -> float:

@@ -76,12 +76,33 @@ class Xoshiro256:
         return self.next_u64() % n
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of range(n)."""
-        idx = np.arange(n)
+        """Fisher-Yates permutation of range(n), as an int64 array.
+
+        It draws the :meth:`next_u64` stream, one word per swap:
+        ``j = next_u64() % (i + 1)`` for ``i = n-1`` down to 1, and leaves
+        the generator where ``n - 1`` calls of :meth:`next_u64` would.  The
+        state update is written out inline on local integers and the swaps
+        run on a list, which saves the per-word method calls and numpy
+        scalar indexing.
+        """
+        s0, s1, s2, s3 = self.s
+        mask = _MASK64
+        idx = list(range(n))
         for i in range(n - 1, 0, -1):
-            j = self.below(i + 1)
+            r = (s1 * 5) & mask
+            # rotl(s1 * 5, 7) * 9; one mask after the multiply suffices mod 2^64
+            r = (((r << 7) | (r >> 57)) * 9) & mask
+            t = (s1 << 17) & mask
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & mask  # rotl(s3, 45)
+            j = r % (i + 1)
             idx[i], idx[j] = idx[j], idx[i]
-        return idx
+        self.s[:] = (s0, s1, s2, s3)
+        return np.array(idx, dtype=np.int64)
 
 
 def derive_seed(seed: int, *salt: int) -> int:

@@ -15,6 +15,7 @@ names the cause.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,8 @@ from .standardize import ZeroGradientBlockError, centralize
 from .trace import RunTrace
 
 __all__ = ["RunResult", "build_task", "run_experiment", "run_setup"]
+
+MAX_COORDINATES = 2**24  # largest quadratic task.blocks x prod(task.block_shape)
 
 
 @dataclass
@@ -96,6 +99,12 @@ def build_task(setup: RunSetup) -> tuple[Landscape, BlockedVector, EpochBatcher 
             x0 = BlockedVector(_parse_start(task["start"], 2), landscape.partition)
             return landscape, x0, None
         if kind == "quadratic":
+            p = task["blocks"] * math.prod(task["block_shape"])
+            if p > MAX_COORDINATES:
+                raise ConfigError(
+                    f"task.blocks: {task['blocks']} blocks of {task['block_shape']} make {p} coordinates,"
+                    f" more than {MAX_COORDINATES}"
+                )
             partition = BlockPartition.of([(f"b{k}", task["block_shape"]) for k in range(task["blocks"])])
             landscape = Quadratic(partition, smoothness=task["smoothness"])
             gen = Xoshiro256(derive_seed(setup.seed, 0x900D))

@@ -137,10 +137,13 @@ BAD_RUNS = [
     ("task.kind = wells1d\nschedule.base_lr = nan", 2, "line 2: schedule.base_lr"),
     ("task.kind = wells1d\nsing.epsilon = nan", 2, "line 2: sing.epsilon"),
     ("task.kind = wells1d\nweight_decay = nan", 2, "line 2: weight_decay"),
+    ("task.kind = quadratic\ntask.f0 = -1", 2, "line 2: task.f0"),
     # values the task or the pipeline rejects
     ("task.kind = mlp\ntask.classes = 1", 2, "classes"),
     ("task.kind = mlp\ntask.hidden = 0", 2, "hidden"),
     ("task.kind = quadratic\ntask.blocks = 0", 2, "block"),
+    ("task.kind = quadratic\ntask.blocks = 100000000000", 2, "task.blocks"),
+    ("task.kind = quadratic\ntask.block_shape = 1\ntask.blocks = 16777217", 2, "task.blocks"),
     ("task.kind = quadratic\ntask.smoothness = -1", 2, "smoothness"),
     ("task.kind = wells1d\nsing.epsilon = -1", 2, "epsilon"),
     # a zero gradient block cannot be normalized at epsilon = 0: divergence

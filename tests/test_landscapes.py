@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from singopt.blocked import BlockPartition, BlockedVector
+from singopt.blocked import BlockPartition, BlockedVector, from_blocks
 from singopt.landscapes import (
     EvaluationError,
     GaussianWells1D,
@@ -256,3 +256,95 @@ def test_convergence_landscapes_are_nonnegative():
         x = BlockedVector(x0.values + rng.standard_normal(task.partition.p), task.partition)
         loss, _ = task.evaluate(x)
         assert loss >= 0.0
+
+
+# -- the oracle against a reference copy of its earlier form ------------------------
+
+def _reference_loss_and_grad(self, x, idx):
+    # The forward/backward pass as it was before MlpTask kept scratch
+    # arrays, copied verbatim (with ``self`` the task).  The current pass
+    # must agree with it bit for bit: every trace digest depends on it.
+    w1, b1, w2, b2 = self._unpack(x)
+    xb = self.dataset.xs[idx]
+    yb = self.dataset.labels[idx]
+    batch = xb.shape[0]
+
+    z1 = xb @ w1.T + b1
+    h = np.tanh(z1)
+    z2 = h @ w2.T + b2
+
+    zmax = z2.max(axis=1, keepdims=True)
+    shifted = z2 - zmax
+    logsumexp = np.log(np.exp(shifted).sum(axis=1)) + zmax[:, 0]
+    loss = float(np.mean(logsumexp - z2[np.arange(batch), yb]))
+
+    probs = np.exp(shifted)
+    probs /= probs.sum(axis=1, keepdims=True)
+    gz2 = probs
+    gz2[np.arange(batch), yb] -= 1.0
+    gz2 /= batch
+
+    gw2 = gz2.T @ h
+    gb2 = gz2.sum(axis=0)
+    gh = gz2 @ w2
+    gz1 = gh * (1.0 - h * h)
+    gw1 = gz1.T @ xb
+    gb1 = gz1.sum(axis=0)
+
+    arrays = [gw1]
+    if self.with_bias:
+        arrays.append(gb1)
+    arrays.append(gw2)
+    if self.with_bias:
+        arrays.append(gb2)
+    grad = from_blocks(self.partition, arrays)
+    if self.loss_scale != 1.0:
+        loss = loss * self.loss_scale
+        grad.values *= self.loss_scale
+    return loss, grad
+
+
+def _assert_same(got, want):
+    assert got[0] == want[0]
+    assert np.array_equal(got[1].values, want[1].values)
+
+
+# (classes, input dim, with_bias, loss_scale)
+ORACLE_CASES = [(2, 1, True, 1.0), (5, 3, False, 3.0), (3, 2, True, 3.0), (5, 1, False, 1.0)]
+
+
+@pytest.mark.parametrize("classes, dim, with_bias, loss_scale", ORACLE_CASES)
+def test_oracle_bit_identical_to_reference(classes, dim, with_bias, loss_scale):
+    n, batch = 2000, 128
+    dataset = make_blobs(seed=classes + dim, n=n, classes=classes, dim=dim, spread=0.3)
+    task = MlpTask(dataset, hidden=16, init_seed=dim, loss_scale=loss_scale, with_bias=with_bias)
+    rng = np.random.default_rng(classes * 10 + dim)
+    order = rng.permutation(n)
+    last = order[(n // batch) * batch :]
+    assert last.size == 80
+    x0 = task.initial_params().values
+    for k in range(30):
+        # points near the start and far from it (saturated tanh, large logits)
+        scale = (0.1, 1.0, 5.0)[k % 3]
+        x = BlockedVector(x0 + scale * rng.standard_normal(x0.size), task.partition)
+        _assert_same(task.evaluate(x), _reference_loss_and_grad(task, x, np.arange(n)))
+        idx = order[(k % (n // batch)) * batch :][:batch]
+        _assert_same(task.minibatch(x, idx), _reference_loss_and_grad(task, x, idx))
+        _assert_same(task.minibatch(x, last), _reference_loss_and_grad(task, x, last))
+        if k % 10 == 0:
+            _assert_same(task.minibatch(x, order), _reference_loss_and_grad(task, x, order))
+
+
+def test_oracle_gradients_do_not_alias_scratch_arrays():
+    task = small_mlp(n=200)
+    x1 = task.initial_params()
+    x2 = BlockedVector(2.0 * x1.values + 0.5, task.partition)
+    loss1, g1 = task.evaluate(x1)
+    kept = g1.values.copy()
+    task.evaluate(x2)
+    task.minibatch(x2, np.arange(200))
+    task.minibatch(x2, np.arange(7))
+    assert np.array_equal(g1.values, kept)
+    again = task.evaluate(x1)
+    assert again[0] == loss1
+    assert np.array_equal(again[1].values, kept)
