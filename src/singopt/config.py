@@ -5,8 +5,11 @@ with ``#`` are ignored (a ``#`` after a value is part of the value).
 :data:`SCHEMA` lists every key once.  Every key is checked when the file
 is read: a value that does not parse, or is not finite, is a
 :class:`ConfigError` naming its line, and so is a negative ``task.f0``
-(it scales the quadratic start point through a square root).  Other range
-checks stay with the objects the values build.
+(it scales the quadratic start point through a square root) or
+``sing.epsilon``.  Other range checks stay with the objects the values
+build; an error from the optimizer, LookAhead, schedule or pipeline
+config names its keys, with the line of each key the file set.  The
+``task.*`` range checks of the task builder name only the value.
 """
 
 from __future__ import annotations
@@ -94,7 +97,7 @@ SCHEMA: dict[str, tuple] = {
     "optimizer.softplus_beta": ("50.0", _float, "host", "softplus_beta"),
     "sing.enabled": ("true", _bool, "sing", "enabled"),
     "sing.centralize": ("true", _bool, "sing", "centralize"),
-    "sing.epsilon": ("1e-8", _float, "sing", "epsilon"),
+    "sing.epsilon": ("1e-8", _nonnegative, "sing", "epsilon"),
     "lookahead.enabled": ("false", _bool, "lookahead", "enabled"),
     "lookahead.k": ("5", _int, "lookahead", "k"),
     "lookahead.alpha": ("0.5", _float, "lookahead", "alpha"),
@@ -118,6 +121,8 @@ SCHEMA: dict[str, tuple] = {
     "task.spread": ("0.3", _float, "task", "spread"),
     "task.batch_size": ("128", _int, "task", "batch_size"),
 }
+
+_KEY_OF = {(group, name): key for key, (_, _, group, name) in SCHEMA.items()}
 
 
 def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunSetup:
@@ -147,22 +152,32 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunSetup
             where = f"line {lineno_of[key]}: " if key in lineno_of else ""
             raise ConfigError(f"{where}{key}: {exc}") from None
 
+    def build(group: str, make, **kwargs):
+        # a range error names its keys, and the lines that set them
+        try:
+            return make(**kwargs)
+        except ConfigError as exc:
+            if not exc.field:
+                raise
+            keys = [_KEY_OF[group, name] for name in exc.field]
+            where = ", ".join(f"line {lineno_of[key]}: {key}" if key in lineno_of else key for key in keys)
+            raise ConfigError(f"{where}: {exc}") from None
+
     sing = fields["sing"]
-    try:
-        standardize = StandardizeConfig(
-            centralize_enabled=sing["enabled"] and sing["centralize"],
-            normalize_enabled=sing["enabled"],
-            epsilon=sing["epsilon"],
-        )
-        pipeline = SingPipelineConfig(
-            standardize=standardize,
-            host=HostOptimizerConfig(**fields["host"]),
-            lookahead=LookAheadConfig(**fields["lookahead"]),
-            **fields["pipeline"],
-        )
-        schedule = Schedule(**fields["schedule"])
-    except ValueError as exc:  # StandardizeConfig raises a plain ValueError
-        raise ConfigError(str(exc)) from None
+    standardize = StandardizeConfig(
+        centralize_enabled=sing["enabled"] and sing["centralize"],
+        normalize_enabled=sing["enabled"],
+        epsilon=sing["epsilon"],
+    )
+    pipeline = build(
+        "pipeline",
+        SingPipelineConfig,
+        standardize=standardize,
+        host=build("host", HostOptimizerConfig, **fields["host"]),
+        lookahead=build("lookahead", LookAheadConfig, **fields["lookahead"]),
+        **fields["pipeline"],
+    )
+    schedule = build("schedule", Schedule, **fields["schedule"])
     return RunSetup(pipeline=pipeline, schedule=schedule, task=fields["task"], raw=values, **fields["setup"])
 
 

@@ -238,10 +238,9 @@ def make_blobs(seed: int, n: int, classes: int, dim: int, spread: float) -> Blob
     centers = _class_centers(classes, dim)
     gen = Xoshiro256(derive_seed(seed, 0xB10B5))
     labels = np.arange(n, dtype=np.int64) % classes
-    xs = np.empty((n, dim))
-    for i in range(n):
-        for j in range(dim):
-            xs[i, j] = centers[labels[i], j] + spread * gen.normal()
+    # row-major draws: the same multiply then add, per element, as a loop
+    # over rows and then coordinates calling ``gen.normal()``
+    xs = centers[labels] + spread * gen.normals(n * dim).reshape(n, dim)
     return BlobsDataset(seed=seed, xs=xs, labels=labels, spread=spread)
 
 
@@ -257,7 +256,9 @@ class MlpTask(Landscape):
     ``evaluate`` and ``minibatch`` share one forward/backward pass.  The
     task keeps its full-batch scratch arrays between calls, so one task
     must not be evaluated from two threads at once.  Returned gradients
-    are fresh vectors and never alias those arrays.
+    are fresh vectors and never alias those arrays.  The task also keeps
+    a one-hot float copy of its labels (n x classes), built at
+    construction; a minibatch gathers its rows.
     """
 
     def __init__(
@@ -285,6 +286,11 @@ class MlpTask(Landscape):
         if with_bias:
             blocks.append(("b2", (classes,)))
         self.partition = BlockPartition.of(blocks)
+        self._classes = classes
+        slices = {name: self.partition.slice_of(k) for k, name in enumerate(self.partition.names)}
+        self._slices = (slices["W1"], slices.get("b1"), slices["W2"], slices.get("b2"))
+        self._zero_biases = (np.zeros(hidden), np.zeros(classes))
+        self._onehot = np.eye(classes)[dataset.labels]
         self._full_batch: tuple[np.ndarray, ...] | None = None
 
     def initial_params(self) -> BlockedVector:
@@ -304,41 +310,41 @@ class MlpTask(Landscape):
     # -- forward / backward --------------------------------------------------
 
     def _unpack(self, x: BlockedVector):
-        part = self.partition
-        w1 = x.block(part.index("W1"))
-        w2 = x.block(part.index("W2"))
+        values = x.values
+        s_w1, s_b1, s_w2, s_b2 = self._slices
+        w1 = values[s_w1].reshape(self.hidden, -1)
+        w2 = values[s_w2].reshape(self._classes, self.hidden)
         if self.with_bias:
-            b1 = x.block(part.index("b1"))
-            b2 = x.block(part.index("b2"))
-        else:
-            b1 = np.zeros(self.hidden)
-            b2 = np.zeros(self.dataset.classes)
+            return w1, values[s_b1], w2, values[s_b2]
+        b1, b2 = self._zero_biases
         return w1, b1, w2, b2
 
     def _buffers(self, batch: int) -> tuple[np.ndarray, ...]:
-        """Scratch arrays h, gh (batch x hidden) and z2, e (batch x classes).
+        """Scratch arrays h, gh (batch x hidden), z2, e (batch x classes), zmax (batch).
 
         The full-batch set is built on first use and kept; other batch
         sizes get fresh arrays.
         """
         if batch == self.dataset.n and self._full_batch is not None:
             return self._full_batch
-        classes = self.dataset.classes
+        classes = self._classes
         buffers = (
             np.empty((batch, self.hidden)),
             np.empty((batch, self.hidden)),
             np.empty((batch, classes)),
             np.empty((batch, classes)),
+            np.empty(batch),
         )
         if batch == self.dataset.n:
             self._full_batch = buffers
         return buffers
 
-    def _loss_and_grad(self, x: BlockedVector, xb: np.ndarray, yb: np.ndarray) -> tuple[float, BlockedVector]:
+    def _loss_and_grad(
+        self, x: BlockedVector, xb: np.ndarray, yb: np.ndarray, onehot: np.ndarray
+    ) -> tuple[float, np.ndarray]:
         w1, b1, w2, b2 = self._unpack(x)
         batch = xb.shape[0]
-        rows = np.arange(batch)
-        h, gh, z2, e = self._buffers(batch)
+        h, gh, z2, e, zmax = self._buffers(batch)
 
         np.matmul(xb, w1.T, out=h)
         h += b1
@@ -346,16 +352,23 @@ class MlpTask(Landscape):
         np.matmul(h, w2.T, out=z2)
         z2 += b2
 
-        zmax = z2.max(axis=1, keepdims=True)
-        np.subtract(z2, zmax, out=e)
+        # Row max, one class column at a time: a max returns one of its
+        # inputs (NaN propagates), so this equals z2.max(axis=1) up to the
+        # sign of a zero, which neither exp(z2 - zmax) nor log(total) + zmax
+        # can see.  ``1 % classes`` keeps a one-class task valid.
+        np.maximum(z2[:, 0], z2[:, 1 % self._classes], out=zmax)
+        for c in range(2, self._classes):
+            np.maximum(zmax, z2[:, c], out=zmax)
+        np.subtract(z2, zmax[:, None], out=e)
         np.exp(e, out=e)
         total = e.sum(axis=1)
-        logsumexp = np.log(total) + zmax[:, 0]
-        loss = float(np.mean(logsumexp - z2[rows, yb]))
+        logsumexp = np.log(total) + zmax
+        loss = float(np.mean(logsumexp - z2[np.arange(batch), yb]))
 
-        # e becomes the softmax probabilities, then the gradient wrt z2
+        # e becomes the softmax probabilities, then the gradient wrt z2;
+        # subtracting the one-hot 0.0 leaves every other entry as it is
         e /= total[:, None]
-        e[rows, yb] -= 1.0
+        e -= onehot
         e /= batch
 
         gw2 = e.T @ h
@@ -367,23 +380,20 @@ class MlpTask(Landscape):
         gw1 = gh.T @ xb
         gb1 = gh.sum(axis=0)
 
-        arrays = [gw1]
         if self.with_bias:
-            arrays.append(gb1)
-        arrays.append(gw2)
-        if self.with_bias:
-            arrays.append(gb2)
-        grad = from_blocks(self.partition, arrays)
+            grad = np.concatenate((gw1.ravel(), gb1, gw2.ravel(), gb2))
+        else:
+            grad = np.concatenate((gw1.ravel(), gw2.ravel()))
         if self.loss_scale != 1.0:
             loss = loss * self.loss_scale
-            grad.values *= self.loss_scale
+            grad *= self.loss_scale
         return loss, grad
 
     def evaluate(self, x: BlockedVector) -> tuple[float, BlockedVector]:
         if x.partition != self.partition:
             raise ValueError("partition mismatch")
-        loss, grad = self._loss_and_grad(x, self.dataset.xs, self.dataset.labels)
-        return self._checked(x, loss, grad.values)
+        data = self.dataset
+        return self._checked(x, *self._loss_and_grad(x, data.xs, data.labels, self._onehot))
 
     def minibatch(self, x: BlockedVector, idx: np.ndarray) -> tuple[float, BlockedVector]:
         idx = np.asarray(idx, dtype=np.int64)
@@ -391,8 +401,8 @@ class MlpTask(Landscape):
             raise ValueError("batch must be nonempty")
         if idx.min() < 0 or idx.max() >= self.dataset.n:
             raise ValueError(f"batch indices outside [0, {self.dataset.n})")
-        loss, grad = self._loss_and_grad(x, self.dataset.xs[idx], self.dataset.labels[idx])
-        return self._checked(x, loss, grad.values)
+        data = self.dataset
+        return self._checked(x, *self._loss_and_grad(x, data.xs[idx], data.labels[idx], self._onehot[idx]))
 
     def accuracy(self, x: BlockedVector) -> float:
         w1, b1, w2, b2 = self._unpack(x)

@@ -38,7 +38,15 @@ HOST_KINDS = ("sgd", "adamw", "adabelief")
 
 
 class ConfigError(ValueError):
-    """Invalid or inconsistent configuration."""
+    """Invalid or inconsistent configuration.
+
+    ``field`` names the fields of the config object at fault, if any, so
+    that the config parser can name their keys and lines.
+    """
+
+    def __init__(self, message: str, field: tuple[str, ...] = ()):
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -62,17 +70,17 @@ class HostOptimizerConfig:
 
     def __post_init__(self) -> None:
         if self.kind not in HOST_KINDS:
-            raise ConfigError(f"unknown host optimizer {self.kind!r}, expected one of {HOST_KINDS}")
+            raise ConfigError(f"unknown host optimizer {self.kind!r}, expected one of {HOST_KINDS}", ("kind",))
         if not 0.0 <= self.beta1 < 1.0:
-            raise ConfigError(f"beta1 must be in [0, 1), got {self.beta1}")
+            raise ConfigError(f"beta1 must be in [0, 1), got {self.beta1}", ("beta1",))
         if not 0.0 <= self.beta2 < 1.0:
-            raise ConfigError(f"beta2 must be in [0, 1), got {self.beta2}")
+            raise ConfigError(f"beta2 must be in [0, 1), got {self.beta2}", ("beta2",))
         if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
+            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}", ("momentum",))
         if self.eps_opt <= 0.0:
-            raise ConfigError(f"eps_opt must be > 0, got {self.eps_opt}")
+            raise ConfigError(f"eps_opt must be > 0, got {self.eps_opt}", ("eps_opt",))
         if self.softplus_beta <= 0.0:
-            raise ConfigError(f"softplus_beta must be > 0, got {self.softplus_beta}")
+            raise ConfigError(f"softplus_beta must be > 0, got {self.softplus_beta}", ("softplus_beta",))
 
 
 @dataclass(frozen=True)
@@ -83,9 +91,9 @@ class LookAheadConfig:
 
     def __post_init__(self) -> None:
         if self.k < 1:
-            raise ConfigError(f"lookahead k must be >= 1, got {self.k}")
+            raise ConfigError(f"lookahead k must be >= 1, got {self.k}", ("k",))
         if not 0.0 < self.alpha <= 1.0:
-            raise ConfigError(f"lookahead alpha must be in (0, 1], got {self.alpha}")
+            raise ConfigError(f"lookahead alpha must be in (0, 1], got {self.alpha}", ("alpha",))
 
 
 @dataclass(frozen=True)
@@ -99,14 +107,15 @@ class Schedule:
 
     def __post_init__(self) -> None:
         if self.kind not in ("constant", "cosine"):
-            raise ConfigError(f"unknown schedule kind {self.kind!r}")
+            raise ConfigError(f"unknown schedule kind {self.kind!r}", ("kind",))
         if self.base_lr <= 0.0:
-            raise ConfigError(f"base_lr must be > 0, got {self.base_lr}")
+            raise ConfigError(f"base_lr must be > 0, got {self.base_lr}", ("base_lr",))
         if self.total_steps < 1:
-            raise ConfigError(f"total_steps must be >= 1, got {self.total_steps}")
+            raise ConfigError(f"total_steps must be >= 1, got {self.total_steps}", ("total_steps",))
         if not 0 <= self.warmup_steps < self.total_steps:
             raise ConfigError(
-                f"warmup_steps must satisfy 0 <= warmup < total ({self.warmup_steps} vs {self.total_steps})"
+                f"warmup_steps must satisfy 0 <= warmup < total ({self.warmup_steps} vs {self.total_steps})",
+                ("warmup_steps", "total_steps"),
             )
 
 
@@ -122,7 +131,7 @@ class SingPipelineConfig:
 
     def __post_init__(self) -> None:
         if self.weight_decay < 0.0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}", ("weight_decay",))
         object.__setattr__(self, "weight_decay_skip", frozenset(self.weight_decay_skip))
 
 

@@ -16,6 +16,7 @@ import numpy as np
 __all__ = ["SplitMix64", "Xoshiro256", "derive_seed"]
 
 _MASK64 = (1 << 64) - 1
+_NORMALS_CHUNK = 256
 
 
 class SplitMix64:
@@ -67,31 +68,41 @@ class Xoshiro256:
         return total - 6.0
 
     def normals(self, count: int) -> np.ndarray:
-        return np.array([self.normal() for _ in range(count)], dtype=np.float64)
+        """``count`` draws of :meth:`normal`, bit for bit, as a float64 array.
 
-    def below(self, n: int) -> int:
-        """Integer in [0, n).  Modulo bias is ~n/2^64, irrelevant here."""
-        if n <= 0:
-            raise ValueError("n must be positive")
-        return self.next_u64() % n
+        Each row of 12 words becomes 12 uniforms, summed column by column
+        from column 0 and then shifted by 6.0: the additions of
+        :meth:`normal`, in its order.  Rows are drawn ``_NORMALS_CHUNK`` at
+        a time: a long draw then never holds more than a chunk's words as
+        Python ints, which would otherwise leave the heap megabytes larger.
+        """
+        out = np.empty(count)
+        for start in range(0, count, _NORMALS_CHUNK):
+            total = out[start : start + _NORMALS_CHUNK]
+            words = np.array(self._words(12 * total.size), dtype=np.uint64).reshape(total.size, 12)
+            words >>= np.uint64(11)
+            uniforms = words.astype(np.float64)
+            uniforms *= 2.0 ** -53
+            total[:] = uniforms[:, 0]
+            for c in range(1, 12):
+                total += uniforms[:, c]
+        out -= 6.0
+        return out
 
-    def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of range(n), as an int64 array.
+    def _words(self, count: int) -> list[int]:
+        """The next ``count`` :meth:`next_u64` words.
 
-        It draws the :meth:`next_u64` stream, one word per swap:
-        ``j = next_u64() % (i + 1)`` for ``i = n-1`` down to 1, and leaves
-        the generator where ``n - 1`` calls of :meth:`next_u64` would.  The
-        state update is written out inline on local integers and the swaps
-        run on a list, which saves the per-word method calls and numpy
-        scalar indexing.
+        The state update is written out inline on local integers, which
+        saves the per-word method calls, and the state is written back once.
         """
         s0, s1, s2, s3 = self.s
         mask = _MASK64
-        idx = list(range(n))
-        for i in range(n - 1, 0, -1):
+        words = []
+        append = words.append
+        for _ in range(count):
             r = (s1 * 5) & mask
             # rotl(s1 * 5, 7) * 9; one mask after the multiply suffices mod 2^64
-            r = (((r << 7) | (r >> 57)) * 9) & mask
+            append((((r << 7) | (r >> 57)) * 9) & mask)
             t = (s1 << 17) & mask
             s2 ^= s0
             s3 ^= s1
@@ -99,9 +110,21 @@ class Xoshiro256:
             s0 ^= s3
             s2 ^= t
             s3 = ((s3 << 45) | (s3 >> 19)) & mask  # rotl(s3, 45)
-            j = r % (i + 1)
-            idx[i], idx[j] = idx[j], idx[i]
         self.s[:] = (s0, s1, s2, s3)
+        return words
+
+    def permutation(self, n: int) -> np.ndarray:
+        """Fisher-Yates permutation of range(n), as an int64 array.
+
+        It draws the :meth:`next_u64` stream, one word per swap:
+        ``j = next_u64() % (i + 1)`` for ``i = n-1`` down to 1, and leaves
+        the generator where ``n - 1`` calls of :meth:`next_u64` would.  The
+        swaps run on a list, which saves numpy scalar indexing.
+        """
+        idx = list(range(n))
+        for i, word in zip(range(n - 1, 0, -1), self._words(n - 1)):
+            j = word % (i + 1)
+            idx[i], idx[j] = idx[j], idx[i]
         return np.array(idx, dtype=np.int64)
 
 

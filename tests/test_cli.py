@@ -164,6 +164,37 @@ def test_run_bad_config_exits_cleanly(tmp_path, capsys, text, code, named):
         assert out.read_text().splitlines()[-1] == "# diverged step=0"
 
 
+RANGE_ERRORS = [
+    # (config lines, what stderr must name): the optimizer, LookAhead,
+    # schedule and epsilon checks name the key and the line that set it
+    ("task.kind = wells1d\noptimizer.beta1 = 1", "line 2: optimizer.beta1: beta1 must be in [0, 1)"),
+    ("task.kind = wells1d\nlookahead.k = 0", "line 2: lookahead.k: "),
+    ("task.kind = wells1d\nschedule.base_lr = 0", "line 2: schedule.base_lr: "),
+    ("task.kind = wells1d\nsing.epsilon = -1", "line 2: sing.epsilon: must be >= 0"),
+    (
+        "task.kind = wells1d\nschedule.total_steps = 10\nschedule.warmup_steps = 20",
+        "line 3: schedule.warmup_steps, line 2: schedule.total_steps: warmup_steps must satisfy",
+    ),
+    # a key left at its default is named without a line
+    ("task.kind = wells1d\nschedule.warmup_steps = 200", "line 2: schedule.warmup_steps, schedule.total_steps: "),
+]
+
+
+@pytest.mark.parametrize("text, named", RANGE_ERRORS, ids=[text.splitlines()[-1] for text, _ in RANGE_ERRORS])
+def test_range_errors_name_line_and_key(tmp_path, capsys, text, named):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text + "\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"error: {named}" in err
+
+
+def test_range_error_from_an_override_names_the_key_without_a_line():
+    with pytest.raises(ConfigError, match=r"^optimizer.beta2: beta2 must be in \[0, 1\), got 1.5$"):
+        parse_config("optimizer.beta2 = 0.9\n", overrides={"optimizer.beta2": "1.5"})
+
+
 def test_readme_config_block_parses_and_builds():
     from singopt.runner import build_task
 

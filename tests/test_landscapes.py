@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,36 @@ def test_blobs_zero_spread_sits_on_centers():
     assert len({tuple(row) for row in data.xs}) == 3
 
 
+# (seed, n, classes, dim, spread): sha256 of xs and of labels, as stored
+BLOBS_BYTES = [
+    (
+        (0, 2000, 3, 2, 0.3),
+        "1001c16264b75fe2f0c1e052e7a6971d6b790e5256672223776d8022a34f418e",
+        "0ea0415374a7c2bfa868bb0870c67996e74cdee1a546be2c8c925c40e9a3f42a",
+    ),
+    (
+        (5, 37, 5, 3, 1.7),
+        "0717694e516ac483445b28a60c37f6a16ca516d7aafe26260c0d245a549abe66",
+        "fca18ffc2a90d3fb87bfc5e7a66065e1259e906755d38d0d4fd641f9396fb75e",
+    ),
+    (
+        (1, 30, 3, 2, 0.0),
+        "0f3c948bd78a8b8bd479a75c6e8ccc3af6c75f9f4a0153ad70fb8042e3477d5e",
+        "ed509249095e809153e426afcd0edf8205cb06944f3e3289bf67f4901a8be9ee",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, xs_digest, labels_digest", BLOBS_BYTES, ids=[str(a[0]) for a in BLOBS_BYTES])
+def test_blobs_bytes_pinned(args, xs_digest, labels_digest):
+    seed, n, classes, dim, spread = args
+    data = make_blobs(seed=seed, n=n, classes=classes, dim=dim, spread=spread)
+    assert data.xs.dtype == np.float64 and data.xs.shape == (n, dim)
+    assert data.labels.dtype == np.int64
+    assert hashlib.sha256(data.xs.tobytes()).hexdigest() == xs_digest
+    assert hashlib.sha256(data.labels.tobytes()).hexdigest() == labels_digest
+
+
 def test_blobs_validation():
     with pytest.raises(ValueError):
         make_blobs(seed=0, n=1, classes=2, dim=2, spread=0.1)
@@ -309,28 +341,55 @@ def _assert_same(got, want):
     assert np.array_equal(got[1].values, want[1].values)
 
 
-# (classes, input dim, with_bias, loss_scale)
-ORACLE_CASES = [(2, 1, True, 1.0), (5, 3, False, 3.0), (3, 2, True, 3.0), (5, 1, False, 1.0)]
+# (n, classes, hidden, input dim, with_bias, loss_scale).  The last six are
+# shapes where numpy changes its reduction order: row sums turn pairwise
+# from 8 classes, column sums behave differently at hidden = 1, and with
+# n <= 128 every minibatch is a permuted full-size batch.
+ORACLE_CASES = [
+    (2000, 2, 16, 1, True, 1.0),
+    (2000, 5, 16, 3, False, 3.0),
+    (2000, 3, 16, 2, True, 3.0),
+    (2000, 5, 16, 1, False, 1.0),
+    (2000, 9, 16, 2, True, 1.0),
+    (2000, 3, 1, 2, True, 1.0),
+    (120, 3, 8, 2, True, 1.0),
+    (120, 9, 1, 3, False, 3.0),
+    (300, 12, 5, 1, True, 1.0),
+    (50, 2, 1, 1, False, 1.0),
+]
 
 
-@pytest.mark.parametrize("classes, dim, with_bias, loss_scale", ORACLE_CASES)
-def test_oracle_bit_identical_to_reference(classes, dim, with_bias, loss_scale):
-    n, batch = 2000, 128
+def _oracle_case_id(case):
+    # cases at n = 2000, hidden = 16 keep the ids they had before n and hidden were parameters
+    n, classes, hidden, dim, with_bias, loss_scale = case
+    short = f"{classes}-{dim}-{with_bias}-{loss_scale}"
+    return short if (n, hidden) == (2000, 16) else f"n{n}-h{hidden}-{short}"
+
+
+@pytest.mark.parametrize(
+    "n, classes, hidden, dim, with_bias, loss_scale", ORACLE_CASES, ids=list(map(_oracle_case_id, ORACLE_CASES))
+)
+def test_oracle_bit_identical_to_reference(n, classes, hidden, dim, with_bias, loss_scale):
+    batch = 128
     dataset = make_blobs(seed=classes + dim, n=n, classes=classes, dim=dim, spread=0.3)
-    task = MlpTask(dataset, hidden=16, init_seed=dim, loss_scale=loss_scale, with_bias=with_bias)
+    task = MlpTask(dataset, hidden=hidden, init_seed=dim, loss_scale=loss_scale, with_bias=with_bias)
     rng = np.random.default_rng(classes * 10 + dim)
     order = rng.permutation(n)
+    batches = max(n // batch, 1)
     last = order[(n // batch) * batch :]
-    assert last.size == 80
+    assert last.size == n % batch  # 80 at n = 2000
     x0 = task.initial_params().values
     for k in range(30):
         # points near the start and far from it (saturated tanh, large logits)
         scale = (0.1, 1.0, 5.0)[k % 3]
         x = BlockedVector(x0 + scale * rng.standard_normal(x0.size), task.partition)
         _assert_same(task.evaluate(x), _reference_loss_and_grad(task, x, np.arange(n)))
-        idx = order[(k % (n // batch)) * batch :][:batch]
+        idx = order[(k % batches) * batch :][:batch]
         _assert_same(task.minibatch(x, idx), _reference_loss_and_grad(task, x, idx))
         _assert_same(task.minibatch(x, last), _reference_loss_and_grad(task, x, last))
+        # one row, as gradient_noise draws it
+        row = order[k : k + 1]
+        _assert_same(task.minibatch(x, row), _reference_loss_and_grad(task, x, row))
         if k % 10 == 0:
             _assert_same(task.minibatch(x, order), _reference_loss_and_grad(task, x, order))
 

@@ -75,6 +75,12 @@ PERMUTATION_2000 = {
     ),
 }
 
+# normals(4000) from a fresh generator: sha256 of its float64 bytes
+NORMALS_4000 = {
+    0: "cb59813c687a5bbaf34feb7cc8079b9cf658ce3ce7094c12c95918755fbf444c",
+    MAX: "4154b7832986e4ff117df48562c04ad886ef226c868b22c43231903bde190496",
+}
+
 # derive_seed(s), derive_seed(s, 0xBA7C4), derive_seed(s, 1, 2**64-1), derive_seed(s, -1)
 DERIVED = {
     0: [0xE220A8397B1DCDAF, 0x347579B1EE66C8E8, 0x96779FB4B69B576A, 0x2DD82C88FA32B270],
@@ -138,3 +144,27 @@ def test_permutation_draws_the_next_u64_stream():
 def test_derive_seed(seed):
     got = [derive_seed(seed), derive_seed(seed, 0xBA7C4), derive_seed(seed, 1, MAX), derive_seed(seed, -1)]
     assert got == DERIVED[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(NORMALS_4000))
+def test_normals_4000_bytes(seed):
+    normals = Xoshiro256(seed).normals(4000)
+    assert normals.dtype == np.float64
+    assert hashlib.sha256(normals.astype("<f8").tobytes()).hexdigest() == NORMALS_4000[seed]
+
+
+@pytest.mark.parametrize("count", [1, 7, 4000])
+def test_normals_equal_scalar_normal_draws(count):
+    scalar, vector = Xoshiro256(2), Xoshiro256(2)
+    expected = np.array([scalar.normal() for _ in range(count)])
+    got = vector.normals(count)
+    assert got.tobytes() == expected.tobytes()
+    assert vector.s == scalar.s
+
+
+def test_normals_of_zero_draws_nothing():
+    gen = Xoshiro256(0)
+    empty = gen.normals(0)
+    assert empty.dtype == np.float64
+    assert empty.shape == (0,)
+    assert gen.next_u64() == XOSHIRO[0][0]

@@ -1,4 +1,4 @@
-"""Pinned trace bytes of two short runs.
+"""Pinned trace bytes of three short runs.
 
 Identical configs must give byte-identical traces, and speed-ups to the
 oracle, the PRNG or the optimizer must not move a bit.  These sha256
@@ -31,6 +31,24 @@ schedule.total_steps = 60
 seed = 7
 """
 
+# batch_size >= n, so every minibatch is a permuted full-size batch; nine
+# classes and one hidden unit are shapes where numpy's reductions change order
+MLP_WIDE_CLASSES = """\
+task.kind = mlp
+task.n = 300
+task.classes = 9
+task.hidden = 1
+task.input_dim = 3
+task.spread = 0.8
+task.batch_size = 512
+optimizer.kind = adamw
+weight_decay = 0.01
+weight_decay_skip = b1,b2
+schedule.base_lr = 0.05
+schedule.warmup_steps = 5
+schedule.total_steps = 60
+"""
+
 
 def _digest(setup) -> str:
     result = run_setup(setup)
@@ -50,3 +68,9 @@ def test_quadratic_lookahead_weight_decay_trace_bytes():
     setup = parse_config(QUADRATIC)
     assert setup.pipeline.lookahead.enabled and setup.pipeline.weight_decay > 0
     assert _digest(setup) == "808a94ea236066fe9120b08cd8c2f1307ab5babae612b11716a10e644ca1a17f"
+
+
+def test_mlp_full_size_batches_nine_classes_trace_bytes():
+    setup = parse_config(MLP_WIDE_CLASSES)
+    assert setup.task["batch_size"] >= setup.task["n"]
+    assert _digest(setup) == "70b257e3fcbfb1bf32660002bedd5fddf866ccf52056ec9c8424f8e4dda7d1e6"
