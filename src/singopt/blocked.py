@@ -84,9 +84,14 @@ class BlockPartition:
     def rank(self, k: int) -> int:
         return len(self.shape(k))
 
+    @cached_property
+    def slices(self) -> tuple[slice, ...]:
+        """The flat slice of every block, in order: the one block layout."""
+        return tuple(slice(o, o + s) for o, s in zip(self.offsets, self.sizes))
+
     def slice_of(self, k: int) -> slice:
         self._check_index(k)
-        return slice(self.offsets[k], self.offsets[k] + self.sizes[k])
+        return self.slices[k]
 
     def index(self, name: str) -> int:
         for k, (n, _) in enumerate(self.blocks):
@@ -149,10 +154,20 @@ class BlockedVector:
             raise ValueError(f"block {self.partition.name(k)} expects {target.size} values, got {src.size}")
         target[:] = src
 
+    def blocks(self) -> list[np.ndarray]:
+        """Views of every block in its tensor shape; writing to one writes ``values``."""
+        values = self.values
+        return [values[sl].reshape(shape) for sl, (_, shape) in zip(self.partition.slices, self.partition.blocks)]
+
     # -- norms and reductions ----------------------------------------------
 
     def block_l2_norm(self, k: int) -> float:
         return float(np.linalg.norm(self.block_flat(k)))
+
+    def block_norms(self) -> np.ndarray:
+        """The L2 norm of every block, in order (D numbers)."""
+        values = self.values
+        return np.array([np.linalg.norm(values[sl]) for sl in self.partition.slices])
 
     def l2_norm(self) -> float:
         return float(np.linalg.norm(self.values))
@@ -162,7 +177,8 @@ class BlockedVector:
 
     def structured_norm(self) -> float:
         """Sum of per-block L2 norms.  Always >= the plain L2 norm."""
-        return float(sum(self.block_l2_norm(k) for k in range(self.partition.D)))
+        # Python's sum adds left to right; ndarray.sum() pairs terms above 8 blocks
+        return float(sum(self.block_norms()))
 
     # -- arithmetic ----------------------------------------------------------
 

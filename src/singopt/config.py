@@ -4,12 +4,14 @@ Format: one ``key = value`` pair per line; blank lines and lines starting
 with ``#`` are ignored (a ``#`` after a value is part of the value).
 :data:`SCHEMA` lists every key once.  Every key is checked when the file
 is read: a value that does not parse, or is not finite, is a
-:class:`ConfigError` naming its line, and so is a negative ``task.f0``
-(it scales the quadratic start point through a square root) or
-``sing.epsilon``.  Other range checks stay with the objects the values
-build; an error from the optimizer, LookAhead, schedule or pipeline
-config names its keys, with the line of each key the file set.  The
-``task.*`` range checks of the task builder name only the value.
+:class:`ConfigError` naming its line, and so is a ``task.*`` value out
+of its own range (``task.hidden = 0``, whatever ``task.kind`` is), a
+negative ``task.f0`` (it scales the quadratic start point through a
+square root) or ``sing.epsilon``.  Other range checks stay with the
+objects the values build; an error from the optimizer, LookAhead,
+schedule or pipeline config names its keys, with the line of each key
+the file set.  The task builder's ``task.n >= task.classes`` check names
+only the values.
 """
 
 from __future__ import annotations
@@ -60,18 +62,26 @@ def _float(text: str) -> float:
     return value
 
 
-def _nonnegative(text: str) -> float:
-    value = _float(text)
-    if value < 0:
-        raise ValueError(f"must be >= 0, got {text!r}")
-    return value
-
-
 def _int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
         raise ValueError(f"expected an integer, got {text!r}") from None
+
+
+def _at_least(low: int, parse=_int, strict: bool = False):
+    """``parse``, then reject a value below ``low`` (or equal to it, if ``strict``)."""
+
+    def checked(text: str):
+        value = parse(text)
+        if value < low or (strict and value == low):
+            raise ValueError(f"must be {'>' if strict else '>='} {low}, got {text!r}")
+        return value
+
+    return checked
+
+
+_nonnegative = _at_least(0, _float)
 
 
 def _tuple_of(parse, sep: str):
@@ -110,16 +120,16 @@ SCHEMA: dict[str, tuple] = {
     "seed": ("0", _int, "setup", "seed"),
     "task.kind": ("wells1d", str.lower, "task", "kind"),
     "task.start": ("-6.0", _tuple_of(_float, ","), "task", "start"),
-    "task.blocks": ("1", _int, "task", "blocks"),
-    "task.block_shape": ("4", _tuple_of(_int, "x"), "task", "block_shape"),
-    "task.smoothness": ("2.0", _float, "task", "smoothness"),
+    "task.blocks": ("1", _at_least(1), "task", "blocks"),
+    "task.block_shape": ("4", _tuple_of(_at_least(1), "x"), "task", "block_shape"),
+    "task.smoothness": ("2.0", _at_least(0, _float, strict=True), "task", "smoothness"),
     "task.f0": ("1.0", _nonnegative, "task", "f0"),
     "task.n": ("2000", _int, "task", "n"),
-    "task.classes": ("3", _int, "task", "classes"),
-    "task.input_dim": ("2", _int, "task", "input_dim"),
-    "task.hidden": ("16", _int, "task", "hidden"),
-    "task.spread": ("0.3", _float, "task", "spread"),
-    "task.batch_size": ("128", _int, "task", "batch_size"),
+    "task.classes": ("3", _at_least(2), "task", "classes"),
+    "task.input_dim": ("2", _at_least(1), "task", "input_dim"),
+    "task.hidden": ("16", _at_least(1), "task", "hidden"),
+    "task.spread": ("0.3", _nonnegative, "task", "spread"),
+    "task.batch_size": ("128", _at_least(1), "task", "batch_size"),
 }
 
 _KEY_OF = {(group, name): key for key, (_, _, group, name) in SCHEMA.items()}

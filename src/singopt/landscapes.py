@@ -254,10 +254,10 @@ class MlpTask(Landscape):
     objective-rescaling invariance is exercised.
 
     ``evaluate`` and ``minibatch`` share one forward/backward pass.  The
-    task keeps its full-batch scratch arrays between calls, so one task
-    must not be evaluated from two threads at once.  Returned gradients
-    are fresh vectors and never alias those arrays.  The task also keeps
-    a one-hot float copy of its labels (n x classes), built at
+    task keeps one set of scratch arrays per batch size between calls, so
+    one task must not be evaluated from two threads at once.  Returned
+    gradients are fresh vectors and never alias those arrays.  The task
+    also keeps a one-hot float copy of its labels (n x classes), built at
     construction; a minibatch gathers its rows.
     """
 
@@ -287,11 +287,11 @@ class MlpTask(Landscape):
             blocks.append(("b2", (classes,)))
         self.partition = BlockPartition.of(blocks)
         self._classes = classes
-        slices = {name: self.partition.slice_of(k) for k, name in enumerate(self.partition.names)}
+        slices = dict(zip(self.partition.names, self.partition.slices))
         self._slices = (slices["W1"], slices.get("b1"), slices["W2"], slices.get("b2"))
         self._zero_biases = (np.zeros(hidden), np.zeros(classes))
         self._onehot = np.eye(classes)[dataset.labels]
-        self._full_batch: tuple[np.ndarray, ...] | None = None
+        self._scratch: dict[int, tuple[np.ndarray, ...]] = {}
 
     def initial_params(self) -> BlockedVector:
         """Deterministic init: weights ~ normal / sqrt(fan_in), biases zero."""
@@ -322,21 +322,19 @@ class MlpTask(Landscape):
     def _buffers(self, batch: int) -> tuple[np.ndarray, ...]:
         """Scratch arrays h, gh (batch x hidden), z2, e (batch x classes), zmax (batch).
 
-        The full-batch set is built on first use and kept; other batch
-        sizes get fresh arrays.
+        One set per batch size, built on first use and kept; every call
+        overwrites the arrays it uses before reading them.
         """
-        if batch == self.dataset.n and self._full_batch is not None:
-            return self._full_batch
-        classes = self._classes
-        buffers = (
-            np.empty((batch, self.hidden)),
-            np.empty((batch, self.hidden)),
-            np.empty((batch, classes)),
-            np.empty((batch, classes)),
-            np.empty(batch),
-        )
-        if batch == self.dataset.n:
-            self._full_batch = buffers
+        buffers = self._scratch.get(batch)
+        if buffers is None:
+            classes = self._classes
+            buffers = self._scratch[batch] = (
+                np.empty((batch, self.hidden)),
+                np.empty((batch, self.hidden)),
+                np.empty((batch, classes)),
+                np.empty((batch, classes)),
+                np.empty(batch),
+            )
         return buffers
 
     def _loss_and_grad(

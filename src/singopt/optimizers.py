@@ -182,12 +182,10 @@ def apply_weight_decay(p: BlockedVector, lr: float, cfg: SingPipelineConfig) -> 
     shrink = lr * cfg.weight_decay
     if shrink >= 1.0:
         raise ConfigError(f"lr * weight_decay = {shrink} >= 1 would flip parameter signs")
-    out = p.copy()
     part = p.partition
-    for k in range(part.D):
-        if part.name(k) not in cfg.weight_decay_skip:
-            out.block_flat(k)[:] *= 1.0 - shrink
-    return out
+    # a skipped block's factor is 1.0, and x * 1.0 == x exactly
+    factors = [1.0 if name in cfg.weight_decay_skip else 1.0 - shrink for name in part.names]
+    return BlockedVector(p.values * np.repeat(factors, part.sizes), part)
 
 
 def host_update(g: BlockedVector, state: OptimizerState, cfg: HostOptimizerConfig) -> BlockedVector:

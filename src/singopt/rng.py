@@ -33,10 +33,6 @@ class SplitMix64:
         return (z ^ (z >> 31)) & _MASK64
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
-
-
 class Xoshiro256:
     """xoshiro256** with the standard (s0..s3, rotl 7/45, *5, *9) constants."""
 
@@ -45,16 +41,7 @@ class Xoshiro256:
         self.s = [sm.next_u64() for _ in range(4)]
 
     def next_u64(self) -> int:
-        s = self.s
-        result = (_rotl((s[1] * 5) & _MASK64, 7) * 9) & _MASK64
-        t = (s[1] << 17) & _MASK64
-        s[2] ^= s[0]
-        s[3] ^= s[1]
-        s[1] ^= s[2]
-        s[0] ^= s[3]
-        s[2] ^= t
-        s[3] = _rotl(s[3], 45)
-        return result
+        return self._words(1)[0]
 
     def uniform(self) -> float:
         """Double in [0, 1) with 53-bit mantissa: (u64 >> 11) * 2^-53."""
@@ -90,10 +77,10 @@ class Xoshiro256:
         return out
 
     def _words(self, count: int) -> list[int]:
-        """The next ``count`` :meth:`next_u64` words.
+        """The next ``count`` output words: the one copy of the xoshiro256** step.
 
-        The state update is written out inline on local integers, which
-        saves the per-word method calls, and the state is written back once.
+        The state update runs inline on local integers, which saves a
+        method call per word, and the state is written back once.
         """
         s0, s1, s2, s3 = self.s
         mask = _MASK64

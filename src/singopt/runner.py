@@ -57,8 +57,6 @@ class EpochBatcher:
     """Without-replacement minibatch order, reshuffled each epoch."""
 
     def __init__(self, n: int, batch_size: int, seed: int):
-        if batch_size < 1:
-            raise ConfigError("task.batch_size must be >= 1")
         self.n = n
         self.batch_size = min(batch_size, n)
         self.gen = Xoshiro256(derive_seed(seed, 0xBA7C4))
@@ -171,7 +169,7 @@ def run_experiment(
             grad_phi=grad_phi,
             update_l2=update_l2,
             param_mean=new_params.global_mean(),
-            block_norms=[new_params.block_l2_norm(k) for k in range(params.partition.D)],
+            block_norms=new_params.block_norms().tolist(),
         )
         params = new_params
 

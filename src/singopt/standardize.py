@@ -61,42 +61,33 @@ def centralize(g: BlockedVector) -> BlockedVector:
     copied unchanged.
     """
     out = g.copy()
-    part = g.partition
-    for k in range(part.D):
-        if part.rank(k) > 1:
-            block = out.block(k)
-            axes = tuple(range(1, block.ndim))
-            block -= block.mean(axis=axes, keepdims=True)
+    for block in out.blocks():
+        if block.ndim > 1:
+            block -= block.mean(axis=tuple(range(1, block.ndim)), keepdims=True)
     return out
 
 
-def gamma(g: BlockedVector) -> BlockedVector:
-    """Per-coordinate map to the L2 norm of the block containing it."""
-    out = np.empty_like(g.values)
-    part = g.partition
-    for k in range(part.D):
-        sl = part.slice_of(k)
-        out[sl] = np.linalg.norm(g.values[sl])
-    return BlockedVector(out, part)
+def gamma(g: BlockedVector) -> np.ndarray:
+    """Gamma(g): the L2 norm of every block, in partition order (D numbers)."""
+    return g.block_norms()
 
 
 def sing_transform(g: BlockedVector, cfg: StandardizeConfig) -> BlockedVector:
     """Centralize (optional) then normalize (optional) a gradient.
 
-    Raises :class:`ZeroGradientBlockError` if normalization is on,
-    ``epsilon`` is zero and some (centralized) block has zero norm.  With
-    ``epsilon > 0`` a zero block yields a zero update for that block.
+    Raises :class:`ZeroGradientBlockError`, naming the first such block,
+    if normalization is on, ``epsilon`` is zero and some (centralized)
+    block has zero norm.  With ``epsilon > 0`` a zero block yields a zero
+    update for that block.
     """
     h = centralize(g) if cfg.centralize_enabled else g.copy()
     if not cfg.normalize_enabled:
         return h
-    denom = gamma(h)
+    norms = gamma(h)
     if cfg.epsilon == 0.0:
-        part = h.partition
-        for k in range(part.D):
-            if denom.values[part.offsets[k]] == 0.0:
-                raise ZeroGradientBlockError(part.name(k))
-    else:
-        denom = BlockedVector(denom.values + cfg.epsilon, h.partition)
-    h.values /= denom.values
+        zero = np.flatnonzero(norms == 0.0)
+        if zero.size:
+            raise ZeroGradientBlockError(h.partition.names[zero[0]])
+    # norm + 0.0 == norm, so at epsilon = 0 this divides by the bare norms
+    h.values /= np.repeat(norms + cfg.epsilon, h.partition.sizes)
     return h

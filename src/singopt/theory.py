@@ -256,9 +256,7 @@ def phi_pseudo_norm(v: BlockedVector) -> float:
 def _block_phi_norms(v: BlockedVector) -> list[float]:
     """The centralized pseudo-norm of every block alone."""
     c = centralize(v)
-    return [
-        math.sqrt(max(0.0, float(np.dot(v.block_flat(k), c.block_flat(k))))) for k in range(v.partition.D)
-    ]
+    return [math.sqrt(max(0.0, float(np.dot(v.values[sl], c.values[sl])))) for sl in v.partition.slices]
 
 
 def block_phi_norm(v: BlockedVector, k: int) -> float:

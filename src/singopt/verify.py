@@ -312,24 +312,18 @@ def _mean_preservation_records(steps: int = 200) -> list[CheckRecord]:
         lookahead=LookAheadConfig(enabled=False),
         weight_decay=0.0,
     )
-    x = task.initial_params()
-    mean0 = x.global_mean()
-    state = OptimizerState(x)
-    batcher = EpochBatcher(task.dataset.n, 32, 0)
+    x0 = task.initial_params()
+    mean0 = x0.global_mean()
+    prev = x0.values
     worst_drift = 0.0
     worst_slice = 0.0
-    for _ in range(steps):
-        _, g = task.minibatch(x, batcher.next_indices())
-        new_x = step(x, g, state, pipeline, schedule)
-        delta = new_x.values - x.values
-        part = x.partition
-        for k in range(part.D):
-            if part.rank(k) > 1:
-                block = delta[part.slice_of(k)].reshape(part.shape(k))
+    for values in _iterate_params(task, pipeline, schedule, steps):
+        for block in BlockedVector(values - prev, task.partition).blocks():
+            if block.ndim > 1:
                 slice_sums = block.sum(axis=tuple(range(1, block.ndim)))
                 worst_slice = max(worst_slice, float(np.abs(slice_sums).max()))
-        x = new_x
-        worst_drift = max(worst_drift, abs(x.global_mean() - mean0))
+        worst_drift = max(worst_drift, abs(float(values.mean()) - mean0))
+        prev = values
     return [
         _record("invariance.global_mean_preserved", worst_drift, 1e-10, steps=steps),
         _record("invariance.per_slice_update_sums", worst_slice, 1e-12, steps=steps),

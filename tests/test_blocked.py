@@ -122,6 +122,34 @@ def test_block_roundtrip_bit_identical():
     assert np.array_equal(v.values, before)
 
 
+def test_slices_are_the_block_layout():
+    part = BlockPartition.of([("W1", (3, 4)), ("b1", (3,)), ("W2", (2, 3))])
+    assert part.slices == (slice(0, 12), slice(12, 15), slice(15, 21))
+    assert all(part.slice_of(k) == part.slices[k] for k in range(part.D))
+
+
+def test_writing_through_blocks_changes_values():
+    part = BlockPartition.of([("W", (2, 3)), ("b", (2,))])
+    v = zeros(part)
+    w, b = v.blocks()
+    assert w.shape == (2, 3) and b.shape == (2,)
+    w[1, 2] = 5.0
+    b += 1.0
+    assert np.array_equal(v.values, np.array([0.0, 0.0, 0.0, 0.0, 0.0, 5.0, 1.0, 1.0]))
+
+
+@pytest.mark.parametrize("d", [1, 4, 9, 40])
+def test_block_norms_and_structured_norm_bit_identical_to_block_loop(d):
+    rng = np.random.default_rng(d)
+    part = BlockPartition.of([(f"t{k}", tuple(int(n) for n in rng.integers(1, 5, size=1 + k % 3))) for k in range(d)])
+    for _ in range(20):
+        v = BlockedVector(rng.standard_normal(part.p) * 10.0 ** rng.integers(-4, 5, size=part.p), part)
+        loop_norms = [v.block_l2_norm(k) for k in range(part.D)]
+        assert v.block_norms().tobytes() == np.array(loop_norms).tobytes()
+        # the structured norm as a left-to-right sum over the block loop
+        assert v.structured_norm() == float(sum(v.block_l2_norm(k) for k in range(part.D)))
+
+
 def test_wrong_length_values_rejected(two_block):
     with pytest.raises(ValueError, match="length"):
         BlockedVector(np.zeros(5), two_block)

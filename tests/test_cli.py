@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from singopt import standardize
-from singopt.blocked import BlockedVector
 from singopt.cli import main
 from singopt.config import parse_config
 from singopt.optimizers import ConfigError
@@ -177,6 +176,16 @@ RANGE_ERRORS = [
     ),
     # a key left at its default is named without a line
     ("task.kind = wells1d\nschedule.warmup_steps = 200", "line 2: schedule.warmup_steps, schedule.total_steps: "),
+    # task.* ranges are checked when the file is read, whatever task.kind is
+    ("task.kind = mlp\ntask.hidden = 0", "line 2: task.hidden: must be >= 1, got '0'"),
+    ("task.kind = wells1d\ntask.hidden = -3", "line 2: task.hidden: must be >= 1, got '-3'"),
+    ("task.kind = quadratic\ntask.blocks = 0", "line 2: task.blocks: must be >= 1"),
+    ("task.kind = quadratic\ntask.block_shape = 3x0", "line 2: task.block_shape: must be >= 1, got '0'"),
+    ("task.kind = mlp\ntask.input_dim = 0", "line 2: task.input_dim: must be >= 1"),
+    ("task.kind = mlp\ntask.batch_size = 0", "line 2: task.batch_size: must be >= 1"),
+    ("task.kind = mlp\ntask.classes = 1", "line 2: task.classes: must be >= 2, got '1'"),
+    ("task.kind = quadratic\ntask.smoothness = 0", "line 2: task.smoothness: must be > 0, got '0'"),
+    ("task.kind = mlp\ntask.spread = -0.5", "line 2: task.spread: must be >= 0, got '-0.5'"),
 ]
 
 
@@ -248,14 +257,7 @@ def test_check_all_detects_broken_gamma(tmp_path, monkeypatch):
     original = standardize.gamma
 
     def broken(g):
-        out = original(g)
-        part = g.partition
-        shifted = out.values.copy()
-        for k in range(part.D):
-            src = part.slice_of((k + 1) % part.D)
-            dst = part.slice_of(k)
-            shifted[dst] = out.values[src.start]
-        return BlockedVector(shifted, part)
+        return np.roll(original(g), -1)
 
     monkeypatch.setattr(standardize, "gamma", broken)
     report = tmp_path / "broken.jsonl"

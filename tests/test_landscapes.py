@@ -407,3 +407,12 @@ def test_oracle_gradients_do_not_alias_scratch_arrays():
     again = task.evaluate(x1)
     assert again[0] == loss1
     assert np.array_equal(again[1].values, kept)
+    # kept minibatch scratch arrays give a fresh task's bits, before and after a full batch
+    idx = np.arange(128) * 3 % 200
+    loss_want, g_want = small_mlp(n=200).minibatch(x2, idx)
+    first = task.minibatch(x2, idx)
+    task.evaluate(x1)
+    second = task.minibatch(x2, idx)
+    for loss, g in (first, second):
+        assert loss == loss_want
+        assert g.values.tobytes() == g_want.values.tobytes()
