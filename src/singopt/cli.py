@@ -11,8 +11,8 @@ Subcommands:
 * ``plot --trace FILE [--trace FILE ...] --out FILE --cols a,b``: render
   trace columns as an SVG line plot.
 
-Exit codes: 0 success, 1 check failure, 2 usage/config error, 3 numeric
-divergence.
+Exit codes: 0 success, 1 check failure, 2 usage/config error (also a
+path that cannot be read or written), 3 numeric divergence.
 """
 
 from __future__ import annotations
@@ -44,9 +44,6 @@ def _cmd_run(args) -> int:
     try:
         overrides = {"seed": str(args.seed)} if args.seed is not None else None
         setup = parse_config_file(args.config, overrides)
-    except FileNotFoundError:
-        print(f"error: config file not found: {args.config}", file=sys.stderr)
-        return EXIT_USAGE
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -122,9 +119,6 @@ def _cmd_plot(args) -> int:
     for path in args.trace:
         try:
             traces.append(RunTrace.read(path))
-        except FileNotFoundError:
-            print(f"error: trace file not found: {path}", file=sys.stderr)
-            return EXIT_USAGE
         except TraceFormatError as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -169,7 +163,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, UnicodeDecodeError) as exc:  # a user path that cannot be read or written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -11,7 +11,9 @@ square root) or ``sing.epsilon``.  Other range checks stay with the
 objects the values build; an error from the optimizer, LookAhead,
 schedule or pipeline config names its keys, with the line of each key
 the file set.  The task builder's ``task.n >= task.classes`` check names
-only the values.
+only the values.  Override keys are checked like file keys: an unknown
+one, or a bad value, is a :class:`ConfigError` naming the key (there is
+no line to name).
 """
 
 from __future__ import annotations
@@ -151,6 +153,8 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunSetup
         values[key] = value
         lineno_of[key] = lineno
     for key, value in (overrides or {}).items():
+        if key not in SCHEMA:
+            raise ConfigError(f"unknown key {key!r}")
         values[key] = value
         lineno_of.pop(key, None)
 

@@ -23,6 +23,13 @@ class TraceFormatError(ValueError):
     """Trace file does not parse."""
 
 
+def _header_int(text: str, lineno: int) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise TraceFormatError(f"line {lineno}: {exc}") from None
+
+
 @dataclass
 class RunTrace:
     """In-memory trace: header metadata and per-step column arrays."""
@@ -107,7 +114,7 @@ class RunTrace:
     def loads(cls, text: str) -> "RunTrace":
         config: dict[str, str] = {}
         manifest_lines: list[str] = []
-        seed = 0
+        seed = None
         diverged_at = None
         header_row: list[str] | None = None
         rows: list[list[float]] = []
@@ -123,22 +130,30 @@ class RunTrace:
                 elif body.startswith("block "):
                     manifest_lines.append(body[len("block "):])
                 elif body.startswith("seed "):
-                    seed = int(body[len("seed "):])
+                    seed = _header_int(body[len("seed "):], lineno)
                 elif body.startswith("diverged step="):
-                    diverged_at = int(body[len("diverged step="):])
+                    diverged_at = _header_int(body[len("diverged step="):], lineno)
                 continue
             if header_row is None:
                 header_row = line.split(",")
                 continue
+            cells = line.split(",")
+            if len(cells) != len(header_row):
+                raise TraceFormatError(f"line {lineno}: {len(cells)} cells, the column row has {len(header_row)}")
             try:
-                rows.append([float(cell) for cell in line.split(",")])
+                rows.append([float(cell) for cell in cells])
             except ValueError as exc:
                 raise TraceFormatError(f"line {lineno}: {exc}") from None
         if header_row is None:
             raise TraceFormatError("no column header found")
+        if seed is None:
+            raise TraceFormatError("no seed in header")
         if not manifest_lines:
             raise TraceFormatError("no block manifest in header")
-        partition = BlockPartition.from_manifest("\n".join(manifest_lines))
+        try:
+            partition = BlockPartition.from_manifest("\n".join(manifest_lines))
+        except ValueError as exc:
+            raise TraceFormatError(f"block manifest: {exc}") from None
         trace = cls(partition=partition, seed=seed, config=config, rows=rows, diverged_at=diverged_at)
         if tuple(header_row) != trace.columns:
             raise TraceFormatError(f"column row {header_row} does not match manifest-derived columns")

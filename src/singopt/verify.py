@@ -6,30 +6,26 @@ suite-to-invariant mapping is exported as :data:`MANIFEST` so coverage
 is auditable from the check report itself.  Each check compares a
 measured quantity ``lhs`` against a bound ``rhs`` and passes iff
 ``lhs <= rhs``.
+
+Every run the suites make is built from config text (and its task by
+``runner.build_task`` where that makes the same object), so each trace
+header parses back to the run it came from.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import standardize
 from .blocked import BlockedVector, BlockPartition
-from .config import parse_config
+from .config import RunSetup, parse_config
 from .demo import narrow_wells_with_radii
 from .landscapes import GaussianWells1D, MlpTask, Quadratic, Rosenbrock, fd_gradient, make_blobs
-from .optimizers import (
-    HostOptimizerConfig,
-    LookAheadConfig,
-    OptimizerState,
-    Schedule,
-    SingPipelineConfig,
-    lr_at,
-    step,
-)
-from .runner import EpochBatcher, run_experiment, run_setup
+from .optimizers import OptimizerState, lr_at, step
+from .runner import EpochBatcher, build_task, run_experiment, run_setup
 from .standardize import StandardizeConfig
 from .theory import (
     ConvergenceRecipe,
@@ -235,39 +231,33 @@ def _small_mlp(seed: int = 0, loss_scale: float = 1.0, with_bias: bool = True, n
     return MlpTask(dataset, hidden=8, init_seed=seed, loss_scale=loss_scale, with_bias=with_bias)
 
 
-def _iterate_params(
-    task: MlpTask,
-    pipeline: SingPipelineConfig,
-    schedule: Schedule,
-    steps: int,
-    batch_size: int = 32,
-    seed: int = 0,
-) -> list[np.ndarray]:
+def _invariance_setup(steps: int, seed: int = 0, host: str = "sgd") -> RunSetup:
+    """Exact SING (epsilon 0) around a plain host on the 240-point blobs MLP."""
+    return parse_config(
+        f"task.kind = mlp\ntask.n = 240\ntask.hidden = 8\ntask.batch_size = 32\n"
+        f"optimizer.kind = {host}\nsing.epsilon = 0.0\nschedule.kind = cosine\n"
+        f"schedule.base_lr = 0.05\nschedule.total_steps = {steps}\nseed = {seed}\n"
+    )
+
+
+def _iterate_params(task: MlpTask, setup: RunSetup) -> list[np.ndarray]:
     x = task.initial_params()
     state = OptimizerState(x)
-    batcher = EpochBatcher(task.dataset.n, batch_size, seed)
+    batcher = EpochBatcher(task.dataset.n, setup.task["batch_size"], setup.seed)
     out = []
-    for _ in range(steps):
+    for _ in range(setup.schedule.total_steps):
         _, g = task.minibatch(x, batcher.next_indices())
-        x = step(x, g, state, pipeline, schedule)
+        x = step(x, g, state, setup.pipeline, setup.schedule)
         out.append(x.values.copy())
     return out
 
 
 def _reduction_identity_record(seed: int = 0, steps: int = 50) -> CheckRecord:
-    task = _small_mlp(seed)
-    schedule = Schedule(kind="cosine", base_lr=0.05, warmup_steps=0, total_steps=steps)
-    pipeline = SingPipelineConfig(
-        standardize=_EXACT,
-        host=HostOptimizerConfig(kind="sgd", momentum=0.0),
-        lookahead=LookAheadConfig(enabled=False),
-        weight_decay=0.0,
-    )
-    via_step = _iterate_params(task, pipeline, schedule, steps, seed=seed)
+    setup = _invariance_setup(steps, seed)
+    task, x, batcher = build_task(setup)
+    via_step = _iterate_params(task, setup)
 
     # direct coding of p <- p - lr * phi(g)/Gamma(phi(g))
-    x = task.initial_params()
-    batcher = EpochBatcher(task.dataset.n, 32, seed)
     mismatches = 0
     for t in range(steps):
         _, g = task.minibatch(x, batcher.next_indices())
@@ -279,7 +269,7 @@ def _reduction_identity_record(seed: int = 0, steps: int = 50) -> CheckRecord:
                 block = vals[sl].reshape(part.shape(k))
                 block -= block.mean(axis=tuple(range(1, block.ndim)), keepdims=True)
             vals[sl] /= np.linalg.norm(vals[sl])
-        x = BlockedVector(x.values - lr_at(schedule, t) * vals, part)
+        x = BlockedVector(x.values - lr_at(setup.schedule, t) * vals, part)
         if not np.array_equal(x.values, via_step[t]):
             mismatches += 1
     return _record("invariance.reduction_identity_bitwise", mismatches, 0, steps=steps)
@@ -288,16 +278,10 @@ def _reduction_identity_record(seed: int = 0, steps: int = 50) -> CheckRecord:
 def _scale_invariance_record(steps: int = 150, tol: float = 1e-9) -> CheckRecord:
     worst = 0.0
     for kind in ("sgd", "adamw"):
-        pipeline = SingPipelineConfig(
-            standardize=_EXACT,
-            host=HostOptimizerConfig(kind=kind),
-            lookahead=LookAheadConfig(enabled=False),
-            weight_decay=0.0,
-        )
-        schedule = Schedule(kind="cosine", base_lr=0.05, warmup_steps=0, total_steps=steps)
-        ref = _iterate_params(_small_mlp(0, 1.0), pipeline, schedule, steps)
+        setup = _invariance_setup(steps, host=kind)
+        ref = _iterate_params(_small_mlp(0, 1.0), setup)
         for alpha in (1e-3, 1e3):
-            run = _iterate_params(_small_mlp(0, alpha), pipeline, schedule, steps)
+            run = _iterate_params(_small_mlp(0, alpha), setup)
             for a, b in zip(ref, run):
                 worst = max(worst, float(np.linalg.norm(a - b) / np.linalg.norm(a)))
     return _record("invariance.objective_rescale_runs", worst, tol, steps=steps, hosts="sgd,adamw")
@@ -305,19 +289,12 @@ def _scale_invariance_record(steps: int = 150, tol: float = 1e-9) -> CheckRecord
 
 def _mean_preservation_records(steps: int = 200) -> list[CheckRecord]:
     task = _small_mlp(0, with_bias=False)
-    schedule = Schedule(kind="cosine", base_lr=0.05, warmup_steps=0, total_steps=steps)
-    pipeline = SingPipelineConfig(
-        standardize=_EXACT,
-        host=HostOptimizerConfig(kind="sgd", momentum=0.0),
-        lookahead=LookAheadConfig(enabled=False),
-        weight_decay=0.0,
-    )
     x0 = task.initial_params()
     mean0 = x0.global_mean()
     prev = x0.values
     worst_drift = 0.0
     worst_slice = 0.0
-    for values in _iterate_params(task, pipeline, schedule, steps):
+    for values in _iterate_params(task, _invariance_setup(steps)):
         for block in BlockedVector(values - prev, task.partition).blocks():
             if block.ndim > 1:
                 slice_sums = block.sum(axis=tuple(range(1, block.ndim)))
@@ -412,13 +389,27 @@ def check_escape(seed: int = 0) -> list[CheckRecord]:
 
 # -- convergence --------------------------------------------------------------
 
-def _quadratic_audit_records(d: int, mode: str) -> list[CheckRecord]:
-    shape = (4,) if d == 1 else (2, 2)
-    blocks = [(f"b{k}", shape) for k in range(d)]
-    part = BlockPartition.of(blocks)
-    landscape = Quadratic(part, smoothness=2.0)
-    recipe = ConvergenceRecipe(epsilon=0.05, L=2.0, F0=1.0, D=d)
+def _audit_run_text(recipe: ConvergenceRecipe, mode: str) -> str:
+    # normalized SGD at the recipe's constant step; the denominator guard
+    # keeps the run defined if an iterate lands exactly on the minimum (a
+    # zero gradient then yields a zero update)
+    return (
+        f"optimizer.kind = sgd\nsing.centralize = {str(mode == 'phi').lower()}\nsing.epsilon = 1e-8\n"
+        f"schedule.kind = constant\nschedule.base_lr = {recipe.eta!r}\nschedule.total_steps = {recipe.T}\n"
+    )
 
+
+def _quadratic_audit_records(d: int, mode: str) -> list[CheckRecord]:
+    recipe = ConvergenceRecipe(epsilon=0.05, L=2.0, F0=1.0, D=d)
+    shape = "4" if d == 1 else "2x2"
+    setup = parse_config(
+        f"task.kind = quadratic\ntask.blocks = {d}\ntask.block_shape = {shape}\n"
+        f"task.smoothness = {recipe.L!r}\ntask.f0 = {recipe.F0!r}\n" + _audit_run_text(recipe, mode)
+    )
+    landscape, _, _ = build_task(setup)
+    part = landscape.partition
+
+    # the audit's own start point, at F(x0) = F0 like the task's
     gen = np.random.default_rng(1234 + d)
     raw = gen.standard_normal(part.p)
     if mode == "phi" and d > 1:
@@ -428,18 +419,6 @@ def _quadratic_audit_records(d: int, mode: str) -> list[CheckRecord]:
     raw = raw / np.linalg.norm(raw) * math.sqrt(2.0 * recipe.F0 / landscape.smoothness)
     x0 = BlockedVector(raw, part)
 
-    # the denominator guard keeps the run defined if an iterate lands exactly
-    # on the minimum (a zero gradient then yields a zero update)
-    pipeline = SingPipelineConfig(
-        standardize=StandardizeConfig(
-            centralize_enabled=(mode == "phi"), normalize_enabled=True, epsilon=1e-8
-        ),
-        host=HostOptimizerConfig(kind="sgd", momentum=0.0),
-        lookahead=LookAheadConfig(enabled=False),
-        weight_decay=0.0,
-    )
-    schedule = Schedule(kind="constant", base_lr=recipe.eta, warmup_steps=0, total_steps=recipe.T)
-    setup = replace(parse_config("task.kind = quadratic"), pipeline=pipeline, schedule=schedule)
     result = run_experiment(landscape, x0, setup)
     audit = convergence_audit(result.trace, recipe, mode=mode)
     return [
@@ -456,8 +435,8 @@ def _quadratic_audit_records(d: int, mode: str) -> list[CheckRecord]:
 
 
 def _mlp_audit_records(seed: int = 0, epsilon: float = 0.25) -> list[CheckRecord]:
-    task = _small_mlp(seed, n=300)
-    x0 = task.initial_params()
+    task_text = f"task.kind = mlp\ntask.n = 300\ntask.hidden = 8\nseed = {seed}\n"
+    task, x0, _ = build_task(parse_config(task_text))
     f0, _ = task.evaluate(x0)
     sigma2 = task.gradient_noise(x0)
     smooth = estimate_smoothness(task, x0, n_pairs=120, radius=0.5, seed=seed)
@@ -466,17 +445,8 @@ def _mlp_audit_records(seed: int = 0, epsilon: float = 0.25) -> list[CheckRecord
     )
     records = []
     for mode in ("l2", "phi"):
-        pipeline = SingPipelineConfig(
-            standardize=StandardizeConfig(
-                centralize_enabled=(mode == "phi"), normalize_enabled=True, epsilon=1e-8
-            ),
-            host=HostOptimizerConfig(kind="sgd", momentum=0.0),
-            lookahead=LookAheadConfig(enabled=False),
-            weight_decay=0.0,
-        )
-        schedule = Schedule(kind="constant", base_lr=recipe.eta, warmup_steps=0, total_steps=recipe.T)
-        setup = replace(parse_config("task.kind = mlp"), pipeline=pipeline, schedule=schedule, seed=seed)
-        batcher = EpochBatcher(task.dataset.n, recipe.batch, seed)
+        setup = parse_config(f"{task_text}task.batch_size = {recipe.batch}\n" + _audit_run_text(recipe, mode))
+        batcher = EpochBatcher(task.dataset.n, setup.task["batch_size"], setup.seed)
         result = run_experiment(task, x0, setup, batcher)
         audit = convergence_audit(result.trace, recipe, mode=mode)
         records.append(

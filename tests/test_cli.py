@@ -95,6 +95,17 @@ def test_trace_rejects_garbage():
             "step,lr,loss,grad_l2,grad_phi,update_l2,param_mean,bnorm_x\n"
             "0,a,b,c,d,e,f,g\n"
         )
+    columns = "step,lr,loss,grad_l2,grad_phi,update_l2,param_mean,bnorm_x\n"
+    with pytest.raises(TraceFormatError, match="line 4: 7 cells, the column row has 8"):
+        RunTrace.loads("# block x 1\n# seed 0\n" + columns + "0,1,2,3,4,5,6\n")  # truncated row
+    with pytest.raises(TraceFormatError, match="no seed"):
+        RunTrace.loads("# block x 1\n" + columns + "0,1,2,3,4,5,6,7\n")
+    with pytest.raises(TraceFormatError, match="line 2: invalid literal"):
+        RunTrace.loads("# block x 1\n# seed zero\n" + columns)
+    with pytest.raises(TraceFormatError, match="line 3: invalid literal"):
+        RunTrace.loads("# block x 1\n# seed 0\n# diverged step=?\n" + columns)
+    with pytest.raises(TraceFormatError, match="block manifest"):
+        RunTrace.loads("# block x q\n# seed 0\n" + columns)
 
 
 # -- run command ---------------------------------------------------------------------
@@ -204,6 +215,11 @@ def test_range_error_from_an_override_names_the_key_without_a_line():
         parse_config("optimizer.beta2 = 0.9\n", overrides={"optimizer.beta2": "1.5"})
 
 
+def test_unknown_override_key_names_the_key_without_a_line():
+    with pytest.raises(ConfigError, match=r"^unknown key 'sed'$"):
+        parse_config("seed = 1\n", overrides={"sed": "3"})
+
+
 def test_readme_config_block_parses_and_builds():
     from singopt.runner import build_task
 
@@ -231,6 +247,31 @@ def test_run_divergence_exit_code_and_footer(tmp_path):
     back = RunTrace.read(out)
     assert back.diverged_at is not None
     assert back.steps == back.diverged_at  # partial trace was flushed
+
+
+PATH_ERRORS = {
+    "run-out-in-missing-dir": ["run", "--config", "{cfg}", "--out", "{tmp}/missing/o.csv"],
+    "run-config-is-a-dir": ["run", "--config", "{tmp}", "--out", "{tmp}/o.csv"],
+    "run-config-not-utf8": ["run", "--config", "{latin1}", "--out", "{tmp}/o.csv"],
+    "check-report-in-missing-dir": ["check", "lemmas", "--report", "{tmp}/missing/r.jsonl"],
+    "plot-out-in-missing-dir": ["plot", "--trace", "{trace}", "--out", "{tmp}/missing/p.svg"],
+    "escape-demo-out-is-a-file": ["escape-demo", "--out", "{cfg}"],
+}
+
+
+@pytest.mark.parametrize("argv", PATH_ERRORS.values(), ids=PATH_ERRORS.keys())
+def test_unusable_user_path_exits_2_without_traceback(tmp_path, wells_cfg, capsys, argv):
+    from singopt.runner import run_setup
+
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes(b"# caf\xe9\ntask.kind = wells1d\n")
+    trace = tmp_path / "t.csv"
+    run_setup(parse_config("task.kind = wells1d\nschedule.total_steps = 3\n")).trace.write(trace)
+    paths = {"tmp": tmp_path, "cfg": wells_cfg, "latin1": latin1, "trace": trace}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ")
 
 
 # -- check command ----------------------------------------------------------------------

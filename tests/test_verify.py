@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+from singopt import verify
 from singopt.config import parse_config
 from singopt.demo import run_escape_demo
-from singopt.runner import run_experiment
+from singopt.landscapes import MlpTask
+from singopt.optimizers import lr_at
+from singopt.runner import build_task, run_experiment
+from singopt.trace import RunTrace
 from singopt.verify import MANIFEST, SUITES, run_suite
 
 
@@ -51,3 +55,32 @@ def test_escape_demo_full_grid_recorded():
     assert demo.sgd_lr in demo.sgd_all
     best_loss = demo.sgd.trace.loss[-1]
     assert all(best_loss <= res.trace.loss[-1] for res in demo.sgd_all.values())
+
+
+def test_convergence_trace_headers_reproduce_their_runs(monkeypatch):
+    runs = []
+
+    def spy(landscape, x0, setup, batcher=None):
+        result = run_experiment(landscape, x0, setup, batcher)
+        runs.append((landscape, x0, setup, result.trace))
+        return result
+
+    monkeypatch.setattr(verify, "run_experiment", spy)
+    verify.check_convergence(seed=0)
+    assert len(runs) == 6  # four quadratic audits, two MLP audits
+    for landscape, x0, setup, trace in runs:
+        written = RunTrace.loads(trace.dumps())
+        header = parse_config("\n".join(f"{k} = {v}" for k, v in written.config.items()))
+        assert header.schedule == setup.schedule
+        assert header.pipeline == setup.pipeline
+        assert header.seed == setup.seed == written.seed
+        assert trace.steps == header.schedule.total_steps
+        assert np.array_equal(trace.lr, [lr_at(header.schedule, t) for t in range(trace.steps)])
+
+        task, task_x0, batcher = build_task(header)
+        assert task.partition == landscape.partition
+        if isinstance(landscape, MlpTask):  # the quadratic audits draw their own start point
+            assert task.dataset.xs.tobytes() == landscape.dataset.xs.tobytes()
+            assert task.dataset.labels.tobytes() == landscape.dataset.labels.tobytes()
+            assert task_x0.values.tobytes() == x0.values.tobytes()
+            assert run_experiment(task, task_x0, header, batcher).trace.dumps() == trace.dumps()
