@@ -4,8 +4,9 @@ Subcommands:
 
 * ``run --config FILE --out FILE [--seed N]``: run one experiment, write
   its trace.
-* ``check SUITE [--report FILE]``: run a verification suite, emit a
-  JSON-lines report (manifest lines first, then one line per check).
+* ``check SUITE [--report FILE] [--seed N]``: run a verification suite
+  (seed 0 by default), emit a JSON-lines report (manifest lines first,
+  then one line per check).
 * ``escape-demo --out DIR``: the side-by-side narrow-well escape
   experiment; writes both traces and an overlay plot.
 * ``plot --trace FILE [--trace FILE ...] --out FILE --cols a,b``: render
@@ -65,7 +66,7 @@ def _cmd_check(args) -> int:
     lines = []
     for suite in suites:
         lines.append(json.dumps({"manifest": suite, "covers": MANIFEST[suite]}, sort_keys=True))
-    records = run_suite(args.suite)
+    records = run_suite(args.suite, args.seed)
     for rec in records:
         lines.append(json.dumps(rec.as_json_dict(), sort_keys=True))
     report = "\n".join(lines) + "\n"
@@ -120,7 +121,7 @@ def _cmd_plot(args) -> int:
         try:
             traces.append(RunTrace.read(path))
         except TraceFormatError as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
+            print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         labels.append(Path(path).stem)
     columns = [c.strip() for c in args.cols.split(",") if c.strip()]
@@ -147,6 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     check_p = sub.add_parser("check", help="run a verification suite")
     check_p.add_argument("suite", choices=sorted(MANIFEST) + ["all"])
     check_p.add_argument("--report", default=None)
+    check_p.add_argument("--seed", type=int, default=0)
     check_p.set_defaults(func=_cmd_check)
 
     demo_p = sub.add_parser("escape-demo", help="narrow-well escape comparison")
@@ -165,7 +167,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, UnicodeDecodeError) as exc:  # a user path that cannot be read or written
+    except OSError as exc:  # a user path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -196,5 +196,10 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunSetup
 
 
 def parse_config_file(path, overrides: dict[str, str] | None = None) -> RunSetup:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), overrides)
+    """``parse_config`` of a UTF-8 file; a decode error names the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    return parse_config(text, overrides)

@@ -1,10 +1,15 @@
 """Differentiable toy objectives and a tiny analytic-backprop MLP task.
 
 Every landscape exposes ``evaluate(x) -> (value, gradient)`` with an
-analytic gradient; :func:`fd_gradient` provides the central-difference
-oracle the test suite checks those gradients against.  Synthetic data
-comes from the package's own integer-state PRNG so datasets are
-bit-identical across runs and platforms for a given seed.
+analytic gradient, and ``losses(points)``: the loss at each row of an
+(m, p) array, bit for bit what ``evaluate(row)[0]`` gives.  The base
+class loops over ``evaluate``; :class:`MlpTask` overrides it with one
+loss-only forward pass over the stacked parameters.  :func:`fd_gradient`
+is the central-difference oracle the test suite checks the analytic
+gradients against; it asks ``losses`` for all 2p perturbed points in
+one call (in runs of coordinates past p = 362), never for a gradient.
+Synthetic data comes from the package's own integer-state PRNG so
+datasets are bit-identical across runs and platforms for a given seed.
 """
 
 from __future__ import annotations
@@ -30,6 +35,13 @@ __all__ = [
     "fd_gradient",
 ]
 
+# Most hidden-activation elements one chunk of ``MlpTask.losses`` holds
+# (256 KB of float64; larger chunks measured slower), and most elements
+# of one ``fd_gradient`` batch of perturbed points (2 MB): one call for
+# every p up to 362.
+_LOSSES_CHUNK_ELEMENTS = 1 << 15
+_FD_POINTS_ELEMENTS = 1 << 18
+
 
 class EvaluationError(ArithmeticError):
     """A landscape produced a non-finite value or gradient."""
@@ -42,6 +54,10 @@ class Landscape:
 
     def evaluate(self, x: BlockedVector) -> tuple[float, BlockedVector]:
         raise NotImplementedError
+
+    def losses(self, points: np.ndarray) -> np.ndarray:
+        """The loss at each row of an (m, p) array, as ``evaluate(row)[0]``."""
+        return np.array([self.evaluate(BlockedVector(row, self.partition))[0] for row in points], dtype=np.float64)
 
     def _checked(self, x: BlockedVector, value: float, grad: np.ndarray) -> tuple[float, BlockedVector]:
         if not np.isfinite(value) or not np.all(np.isfinite(grad)):
@@ -253,7 +269,8 @@ class MlpTask(Landscape):
     gradient) is optionally multiplied by ``loss_scale``, which is how the
     objective-rescaling invariance is exercised.
 
-    ``evaluate`` and ``minibatch`` share one forward/backward pass.  The
+    ``evaluate`` and ``minibatch`` share one forward/backward pass;
+    ``losses`` is a loss-only forward pass over stacked points.  The
     task keeps one set of scratch arrays per batch size between calls, so
     one task must not be evaluated from two threads at once.  Returned
     gradients are fresh vectors and never alias those arrays.  The task
@@ -402,6 +419,52 @@ class MlpTask(Landscape):
         data = self.dataset
         return self._checked(x, *self._loss_and_grad(x, data.xs[idx], data.labels[idx], self._onehot[idx]))
 
+    def losses(self, points: np.ndarray) -> np.ndarray:
+        """Full-batch loss at each row of ``points``, bit for bit as ``evaluate``.
+
+        Each chunk of rows is the forward pass of ``_loss_and_grad`` with a
+        leading parameter axis: a stacked ``matmul`` makes the same BLAS
+        call per slice as the 2-D one, and every reduction runs along a
+        contiguous last axis, as it does there.  Chunks keep the hidden
+        activations under ``_LOSSES_CHUNK_ELEMENTS`` elements.
+        """
+        points = np.asarray(points, dtype=np.float64)
+        if points.ndim != 2 or points.shape[1] != self.partition.p:
+            raise ValueError(f"points must have shape (m, {self.partition.p}), got {points.shape}")
+        data = self.dataset
+        samples = np.arange(data.n)
+        step = max(1, _LOSSES_CHUNK_ELEMENTS // (data.n * self.hidden))
+        s_w1, s_b1, s_w2, s_b2 = self._slices
+        out = np.empty(points.shape[0])
+        for start in range(0, points.shape[0], step):
+            chunk = points[start : start + step]
+            m = chunk.shape[0]
+            w1 = chunk[:, s_w1].reshape(m, self.hidden, -1)
+            w2 = chunk[:, s_w2].reshape(m, self._classes, self.hidden)
+            if self.with_bias:
+                b1, b2 = chunk[:, None, s_b1], chunk[:, None, s_b2]
+            else:
+                b1, b2 = self._zero_biases
+
+            h = np.matmul(data.xs, w1.transpose(0, 2, 1))
+            h += b1
+            np.tanh(h, out=h)
+            z2 = np.matmul(h, w2.transpose(0, 2, 1))
+            z2 += b2
+
+            zmax = np.maximum(z2[..., 0], z2[..., 1 % self._classes])
+            for c in range(2, self._classes):
+                np.maximum(zmax, z2[..., c], out=zmax)
+            e = np.exp(z2 - zmax[..., None])
+            logsumexp = np.log(e.sum(axis=-1)) + zmax
+            out[start : start + m] = np.mean(logsumexp - z2[:, samples, data.labels], axis=-1)
+        if self.loss_scale != 1.0:
+            out *= self.loss_scale
+        if not np.all(np.isfinite(out)):
+            bad = int(np.argmin(np.isfinite(out)))
+            raise EvaluationError(f"MlpTask produced a non-finite loss at row {bad} of {points.shape[0]}")
+        return out
+
     def accuracy(self, x: BlockedVector) -> float:
         w1, b1, w2, b2 = self._unpack(x)
         z2 = np.tanh(self.dataset.xs @ w1.T + b1) @ w2.T + b2
@@ -419,18 +482,25 @@ class MlpTask(Landscape):
 
 
 def fd_gradient(landscape: Landscape, x: BlockedVector, h: float) -> BlockedVector:
-    """Central-difference gradient oracle: (F(x + h e_i) - F(x - h e_i)) / 2h."""
+    """Central-difference gradient oracle: (F(x + h e_i) - F(x - h e_i)) / 2h.
+
+    Rows 2i and 2i + 1 of the perturbed points are x + h e_i and x - h e_i;
+    one ``landscape.losses`` call evaluates them all, or, when 2p rows of p
+    would exceed ``_FD_POINTS_ELEMENTS``, one call per run of coordinates.
+    """
     if h <= 0:
         raise ValueError("step h must be positive")
+    if x.partition != landscape.partition:
+        raise ValueError("partition mismatch")
     base = x.values
     grad = np.empty_like(base)
-    work = base.copy()
-    for i in range(base.size):
-        orig = work[i]
-        work[i] = orig + h
-        f_plus, _ = landscape.evaluate(BlockedVector(work, x.partition))
-        work[i] = orig - h
-        f_minus, _ = landscape.evaluate(BlockedVector(work, x.partition))
-        work[i] = orig
-        grad[i] = (f_plus - f_minus) / (2.0 * h)
+    step = max(1, _FD_POINTS_ELEMENTS // (2 * base.size))
+    for start in range(0, base.size, step):
+        coords = np.arange(start, min(start + step, base.size))
+        pair = 2 * np.arange(coords.size)
+        points = np.tile(base, (2 * coords.size, 1))
+        points[pair, coords] = base[coords] + h
+        points[pair + 1, coords] = base[coords] - h
+        f = landscape.losses(points)
+        grad[coords] = (f[0::2] - f[1::2]) / (2.0 * h)
     return BlockedVector(grad, x.partition)

@@ -161,5 +161,9 @@ class RunTrace:
 
     @classmethod
     def read(cls, path) -> "RunTrace":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.loads(fh.read())
+        """``loads`` of a UTF-8 file; a format or decode error names the path."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                return cls.loads(fh.read())
+        except (TraceFormatError, UnicodeDecodeError) as exc:
+            raise TraceFormatError(f"{path}: {exc}") from None

@@ -593,15 +593,15 @@ MANIFEST: dict[str, list[str]] = {
 }
 
 
-def run_suite(name: str) -> list[CheckRecord]:
-    """Run one named suite (or ``all``); a crashed suite counts as a failure."""
+def run_suite(name: str, seed: int = 0) -> list[CheckRecord]:
+    """Run one named suite (or ``all``) at ``seed``; a crashed suite counts as a failure."""
     names = list(SUITES) if name == "all" else [name]
     if any(n not in SUITES for n in names):
         raise KeyError(name)
     records = []
     for n in names:
         try:
-            records.extend(SUITES[n]())
+            records.extend(SUITES[n](seed=seed))
         except Exception as exc:  # deliberate: broken internals must fail, not abort
             records.append(
                 CheckRecord(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -274,6 +275,24 @@ def test_unusable_user_path_exits_2_without_traceback(tmp_path, wells_cfg, capsy
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["run-config", "plot-second-trace"])
+def test_undecodable_file_is_named_on_stderr(tmp_path, capsys, command):
+    from singopt.runner import run_setup
+
+    bad = tmp_path / "bad.bytes"
+    bad.write_bytes(b"\xff")
+    good = tmp_path / "good.csv"
+    run_setup(parse_config("task.kind = wells1d\nschedule.total_steps = 3\n")).trace.write(good)
+    argv = {
+        "run-config": ["run", "--config", str(bad), "--out", str(tmp_path / "o.csv")],
+        "plot-second-trace": ["plot", "--trace", str(good), "--trace", str(bad), "--out", str(tmp_path / "p.svg")],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
+
+
 # -- check command ----------------------------------------------------------------------
 
 def test_check_lemmas_passes_and_reports(tmp_path):
@@ -303,6 +322,39 @@ def test_check_all_detects_broken_gamma(tmp_path, monkeypatch):
     monkeypatch.setattr(standardize, "gamma", broken)
     report = tmp_path / "broken.jsonl"
     assert main(["check", "all", "--report", str(report)]) == 1
+
+
+# sha256 of the ``check all`` report, recorded with numpy 2.4 on x86-64
+# (OpenBLAS at 1 and 2 threads gave the same bytes).  A faster oracle or
+# suite must not move a byte of it; a different numpy or BLAS build may
+# round differently and would need them recorded again.
+CHECK_ALL_SHA256 = {
+    0: "ae40cfa9447511d2700e8e37b803ee06100777ee790b7ee76788edfbb2b83581",
+    12: "1296322cf5150bf4d8a21f30d8914b5f8fa2659987f57a8191182a5f79cffd3e",
+}
+
+
+def _report_checks(report: Path) -> list[dict]:
+    return [rec for rec in map(json.loads, report.read_text().splitlines()) if "check" in rec]
+
+
+def test_check_all_report_bytes_are_pinned_and_seed_0_is_the_default(tmp_path):
+    default, seeded = tmp_path / "default.jsonl", tmp_path / "seed0.jsonl"
+    assert main(["check", "all", "--report", str(default)]) == 0
+    assert hashlib.sha256(default.read_bytes()).hexdigest() == CHECK_ALL_SHA256[0]
+    assert len(_report_checks(default)) == 42
+    assert main(["check", "all", "--seed", "0", "--report", str(seeded)]) == 0
+    assert seeded.read_bytes() == default.read_bytes()
+
+
+def test_check_all_seed_12_fails_only_its_known_record(tmp_path, capsys):
+    report = tmp_path / "seed12.jsonl"
+    assert main(["check", "all", "--seed", "12", "--report", str(report)]) == 1
+    checks = _report_checks(report)
+    assert len(checks) == 42
+    assert [rec["check"] for rec in checks if not rec["pass"]] == ["invariance.rescale_with_epsilon"]
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == CHECK_ALL_SHA256[12]
+    assert "41/42 checks passed in suite 'all'" in capsys.readouterr().err
 
 
 def test_check_manifest_covers_every_suite(tmp_path):

@@ -1,10 +1,13 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from singopt import landscapes
 from singopt.blocked import BlockPartition, BlockedVector, from_blocks
 from singopt.landscapes import (
+    BlobsDataset,
     EvaluationError,
     GaussianWells1D,
     Landscape,
@@ -416,3 +419,140 @@ def test_oracle_gradients_do_not_alias_scratch_arrays():
     for loss, g in (first, second):
         assert loss == loss_want
         assert g.values.tobytes() == g_want.values.tobytes()
+
+
+# -- stacked losses and the batched finite-difference oracle ------------------------
+
+def _reference_fd_gradient(landscape, x, h):
+    # fd_gradient as it was before ``losses``, copied verbatim: two full
+    # evaluations per coordinate.  The batched oracle must agree bit for bit.
+    if h <= 0:
+        raise ValueError("step h must be positive")
+    base = x.values
+    grad = np.empty_like(base)
+    work = base.copy()
+    for i in range(base.size):
+        orig = work[i]
+        work[i] = orig + h
+        f_plus, _ = landscape.evaluate(BlockedVector(work, x.partition))
+        work[i] = orig - h
+        f_minus, _ = landscape.evaluate(BlockedVector(work, x.partition))
+        work[i] = orig
+        grad[i] = (f_plus - f_minus) / (2.0 * h)
+    return BlockedVector(grad, x.partition)
+
+
+def _losses_task(n, classes, hidden, dim, with_bias, loss_scale):
+    if n < classes:  # make_blobs needs n >= classes: one point, labelled with the last class
+        xs = np.linspace(-1.0, 1.0, dim)[None, :]
+        dataset = BlobsDataset(seed=0, xs=xs, labels=np.array([classes - 1]), spread=0.0)
+    else:
+        dataset = make_blobs(seed=classes + dim, n=n, classes=classes, dim=dim, spread=0.3)
+    return MlpTask(dataset, hidden=hidden, init_seed=dim, loss_scale=loss_scale, with_bias=with_bias)
+
+
+def _stacked_points(task, m, seed):
+    # rows near the start and far from it (saturated tanh, large logits)
+    rng = np.random.default_rng(seed)
+    x0 = task.initial_params().values
+    scales = np.array([0.1, 1.0, 5.0])[np.arange(m) % 3, None]
+    return x0 + scales * rng.standard_normal((m, x0.size))
+
+
+# (n, classes, hidden, input dim, with_bias, loss_scale)
+LOSSES_CASES = [
+    (1, 3, 8, 2, True, 1.0),
+    (1, 2, 1, 1, False, 3.0),
+    (50, 2, 1, 1, False, 1.0),
+    (50, 9, 8, 3, True, 3.0),
+    (120, 3, 8, 2, True, 1.0),
+    (120, 9, 1, 3, False, 3.0),
+    (2000, 3, 16, 2, True, 1.0),
+    (2000, 9, 8, 3, True, 3.0),
+    (2000, 2, 1, 1, False, 1.0),
+]
+
+
+@pytest.mark.parametrize("rows_per_chunk", [None, 3], ids=["module-chunks", "3-row-chunks"])
+@pytest.mark.parametrize("case", LOSSES_CASES, ids=["n{}-c{}-h{}-d{}-{}-{}".format(*c) for c in LOSSES_CASES])
+def test_mlp_losses_bit_identical_to_evaluate(monkeypatch, case, rows_per_chunk):
+    task = _losses_task(*case)
+    n, hidden = case[0], case[2]
+    if rows_per_chunk:
+        monkeypatch.setattr(landscapes, "_LOSSES_CHUNK_ELEMENTS", rows_per_chunk * n * hidden)
+    # 71 rows are three chunks or more at n * hidden >= 960 (the check suite's task)
+    points = _stacked_points(task, 7 if rows_per_chunk else 71, seed=n + hidden)
+    got = task.losses(points)
+    want = np.array([task.evaluate(BlockedVector(row, task.partition))[0] for row in points])
+    assert got.tobytes() == want.tobytes()
+
+
+FD_CASES = {
+    "quadratic": (lambda: Quadratic(BlockPartition.of([("a", (3,)), ("b", (2, 2))])), 1.0),
+    # p = 400: more coordinates than one batch of perturbed points holds
+    "quadratic-wide": (lambda: Quadratic(BlockPartition.of([("w", (20, 20))]), smoothness=3.0), 1.0),
+    "rosenbrock": (Rosenbrock, 1.5),
+    "wells1d": (GaussianWells1D.default, 5.0),
+    "mlp": (lambda: small_mlp(n=120), 0.5),
+    "mlp-nobias-scaled": (lambda: small_mlp(n=50, hidden=3, with_bias=False, loss_scale=3.0), 2.0),
+}
+
+
+@pytest.mark.parametrize("name", FD_CASES)
+def test_fd_gradient_bit_identical_to_per_coordinate_loop(name):
+    make, scale = FD_CASES[name]
+    land = make()
+    rng = np.random.default_rng(len(name))
+    start = land.initial_params().values if isinstance(land, MlpTask) else np.zeros(land.partition.p)
+    for _ in range(4):
+        x = BlockedVector(start + rng.uniform(-scale, scale, land.partition.p), land.partition)
+        for h in (1e-5, 0.1):
+            got = fd_gradient(land, x, h=h)
+            assert got.partition == x.partition
+            assert got.values.tobytes() == _reference_fd_gradient(land, x, h).values.tobytes()
+
+
+def test_fd_gradient_makes_one_losses_call_and_no_evaluations(monkeypatch):
+    task = small_mlp(n=120)
+    calls = []
+    original = MlpTask.losses
+    monkeypatch.setattr(MlpTask, "losses", lambda self, points: calls.append(points.shape) or original(self, points))
+    monkeypatch.setattr(MlpTask, "evaluate", lambda self, x: pytest.fail("fd_gradient evaluated a gradient"))
+    fd_gradient(task, task.initial_params(), h=1e-5)
+    p = task.partition.p
+    assert calls == [(2 * p, p)]
+
+
+def test_fd_gradient_rejects_a_foreign_partition():
+    land = Quadratic(BlockPartition.of([("a", (3,))]))
+    other = BlockedVector(np.zeros(3), BlockPartition.of([("b", (3,))]))
+    with pytest.raises(ValueError, match="partition mismatch"):
+        fd_gradient(land, other, h=1e-5)
+
+
+def test_non_finite_loss_raises_from_losses_and_fd_gradient():
+    task = small_mlp(n=60)
+    x0 = task.initial_params().values
+    points = np.vstack([x0, np.full(x0.size, np.nan), x0])
+    with pytest.raises(EvaluationError, match="row 1 of 3"):
+        task.losses(points)
+    huge = BlockedVector(np.full(x0.size, 1e308), task.partition)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(EvaluationError):
+            task.evaluate(huge)
+        with pytest.raises(EvaluationError):
+            fd_gradient(task, huge, h=1e-5)
+
+
+def test_fd_gradient_memory_on_a_readme_sized_task():
+    # 198 perturbed points of the README task: stacked at once, the hidden
+    # activations alone would be 2p * n * hidden * 8 bytes, about 50 MB
+    task = MlpTask(make_blobs(seed=0, n=2000, classes=3, dim=2, spread=0.3), hidden=16)
+    x = task.initial_params()
+    tracemalloc.start()
+    try:
+        fd_gradient(task, x, h=1e-5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -84,3 +87,28 @@ def test_convergence_trace_headers_reproduce_their_runs(monkeypatch):
             assert task.dataset.labels.tobytes() == landscape.dataset.labels.tobytes()
             assert task_x0.values.tobytes() == x0.values.tobytes()
             assert run_experiment(task, task_x0, header, batcher).trace.dumps() == trace.dumps()
+
+
+def test_fd_check_catches_a_slightly_wrong_mlp_gradient(monkeypatch):
+    # the fd oracle computes the loss its own way (``MlpTask.losses``), so
+    # an analytic gradient off by 0.1% must still fail its check
+    original = MlpTask._loss_and_grad
+
+    def skewed(self, *args):
+        loss, grad = original(self, *args)
+        return loss, grad * (1.0 + 1e-3)
+
+    monkeypatch.setattr(MlpTask, "_loss_and_grad", skewed)
+    records = {rec.check: rec for rec in verify.check_gradients(seed=0)}
+    assert not records["gradients.fd_mlp"].passed
+    assert records["gradients.fd_mlp"].lhs > 5e-4
+    assert records["gradients.fd_quadratic"].passed
+
+
+def test_check_gradients_records_are_pinned():
+    # recorded with numpy 2.4 on x86-64 (OpenBLAS at 1 and 2 threads); the
+    # fd oracle's speed-ups must not move a bit of fd_mlp's lhs
+    text = "".join(json.dumps(rec.as_json_dict(), sort_keys=True) + "\n" for rec in verify.check_gradients(seed=12))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "2529d81eb70c2eac2faac671c725bf55e56f8b1ce45f1eee6853891515015d42"
+    )
