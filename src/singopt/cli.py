@@ -42,17 +42,8 @@ EXIT_DIVERGED = 3
 
 
 def _cmd_run(args) -> int:
-    try:
-        overrides = {"seed": str(args.seed)} if args.seed is not None else None
-        setup = parse_config_file(args.config, overrides)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        result = run_setup(setup)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    overrides = {"seed": str(args.seed)} if args.seed is not None else None
+    result = run_setup(parse_config_file(args.config, overrides))
     result.trace.write(args.out)
     if result.diverged:
         print(f"diverged at step {result.trace.diverged_at}: {result.cause}; partial trace in {args.out}", file=sys.stderr)
@@ -118,18 +109,10 @@ def _cmd_plot(args) -> int:
     traces = []
     labels = []
     for path in args.trace:
-        try:
-            traces.append(RunTrace.read(path))
-        except TraceFormatError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        traces.append(RunTrace.read(path))
         labels.append(Path(path).stem)
     columns = [c.strip() for c in args.cols.split(",") if c.strip()]
-    try:
-        svg = render_columns(traces, columns, labels)
-    except PlotError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    svg = render_columns(traces, columns, labels)
     Path(args.out).write_text(svg, encoding="utf-8")
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -167,7 +150,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:  # a user path that cannot be read or written
+    except (ConfigError, TraceFormatError, PlotError, OSError) as exc:
+        # bad config or trace input, an unplottable column, or a user path
+        # that cannot be read or written: one line, never a traceback
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -3,8 +3,12 @@
 Every landscape exposes ``evaluate(x) -> (value, gradient)`` with an
 analytic gradient, and ``losses(points)``: the loss at each row of an
 (m, p) array, bit for bit what ``evaluate(row)[0]`` gives.  The base
-class loops over ``evaluate``; :class:`MlpTask` overrides it with one
-loss-only forward pass over the stacked parameters.  :func:`fd_gradient`
+class loops over ``evaluate``.  :class:`MlpTask` has one forward pass
+for one point or a stack of points: ``evaluate`` and ``minibatch``
+follow it with the backward pass, ``losses`` runs it once per chunk of
+stacked parameters and ``accuracy`` reads its logits, so the loss the
+oracle differences is the loss ``evaluate`` differentiates, by
+construction.  :func:`fd_gradient`
 is the central-difference oracle the test suite checks the analytic
 gradients against; it asks ``losses`` for all 2p perturbed points in
 one call (in runs of coordinates past p = 362), never for a gradient.
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocked import BlockedVector, BlockPartition, from_blocks
+from .blocked import BlockedVector, BlockPartition
 from .rng import Xoshiro256, derive_seed
 
 __all__ = [
@@ -90,6 +94,8 @@ class Rosenbrock(Landscape):
         self.partition = BlockPartition.of([("xy", (2,))])
 
     def evaluate(self, x: BlockedVector) -> tuple[float, BlockedVector]:
+        if x.partition != self.partition:
+            raise ValueError("partition mismatch")
         a, b = x.values
         value = (1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2
         grad = np.array(
@@ -265,17 +271,21 @@ class MlpTask(Landscape):
 
     Parameters form four blocks W1 (hidden x dim), b1, W2 (classes x
     hidden), b2, so D = 4; ``with_bias=False`` drops the bias blocks
-    leaving an all-rank-2 partition with D = 2.  The loss (and its
-    gradient) is optionally multiplied by ``loss_scale``, which is how the
-    objective-rescaling invariance is exercised.
+    leaving an all-rank-2 partition with D = 2, and an absent bias
+    counts as 0.0 (adding it leaves every bit as it is).  The loss (and
+    its gradient) is optionally multiplied by ``loss_scale``, which is
+    how the objective-rescaling invariance is exercised.
 
-    ``evaluate`` and ``minibatch`` share one forward/backward pass;
-    ``losses`` is a loss-only forward pass over stacked points.  The
-    task keeps one set of scratch arrays per batch size between calls, so
-    one task must not be evaluated from two threads at once.  Returned
-    gradients are fresh vectors and never alias those arrays.  The task
-    also keeps a one-hot float copy of its labels (n x classes), built at
-    construction; a minibatch gathers its rows.
+    One forward pass, :meth:`_forward`, serves every caller: ``evaluate``
+    and ``minibatch`` run it on one point and follow it with the
+    backward pass, ``losses`` runs it on a stack of points, and
+    ``accuracy`` reads its logits.  ``evaluate`` and ``minibatch`` keep
+    one set of scratch arrays per batch size between calls, so one task
+    must not be evaluated from two threads at once; ``losses`` and
+    ``accuracy`` never touch them.  Returned gradients are fresh vectors
+    and never alias those arrays.  The task also keeps a one-hot float
+    copy of its labels (n x classes), built at construction; a minibatch
+    gathers its rows.
     """
 
     def __init__(
@@ -296,89 +306,99 @@ class MlpTask(Landscape):
         self.loss_scale = loss_scale
         self.with_bias = with_bias
         dim, classes = dataset.dim, dataset.classes
-        blocks = [("W1", (hidden, dim))]
-        if with_bias:
-            blocks.append(("b1", (hidden,)))
-        blocks.append(("W2", (classes, hidden)))
-        if with_bias:
-            blocks.append(("b2", (classes,)))
+        shapes = {"W1": (hidden, dim), "b1": (hidden,), "W2": (classes, hidden), "b2": (classes,)}
+        blocks = [(name, shape) for name, shape in shapes.items() if with_bias or name.startswith("W")]
         self.partition = BlockPartition.of(blocks)
         self._classes = classes
-        slices = dict(zip(self.partition.names, self.partition.slices))
-        self._slices = (slices["W1"], slices.get("b1"), slices["W2"], slices.get("b2"))
-        self._zero_biases = (np.zeros(hidden), np.zeros(classes))
+        # block name -> flat slice, in partition order
+        self._slices = dict(zip(self.partition.names, self.partition.slices))
         self._onehot = np.eye(classes)[dataset.labels]
-        self._scratch: dict[int, tuple[np.ndarray, ...]] = {}
+        self._scratch: dict[int, tuple] = {}
 
     def initial_params(self) -> BlockedVector:
         """Deterministic init: weights ~ normal / sqrt(fan_in), biases zero."""
         gen = Xoshiro256(derive_seed(self.init_seed, 0x3117))
         dim, classes = self.dataset.dim, self.dataset.classes
-        w1 = gen.normals(self.hidden * dim).reshape(self.hidden, dim) / np.sqrt(dim)
-        w2 = gen.normals(classes * self.hidden).reshape(classes, self.hidden) / np.sqrt(self.hidden)
-        arrays = [w1]
-        if self.with_bias:
-            arrays.append(np.zeros(self.hidden))
-        arrays.append(w2)
-        if self.with_bias:
-            arrays.append(np.zeros(classes))
-        return from_blocks(self.partition, arrays)
+        values = np.zeros(self.partition.p)
+        values[self._slices["W1"]] = gen.normals(self.hidden * dim) / np.sqrt(dim)
+        values[self._slices["W2"]] = gen.normals(classes * self.hidden) / np.sqrt(self.hidden)
+        return BlockedVector(values, self.partition)
 
     # -- forward / backward --------------------------------------------------
 
-    def _unpack(self, x: BlockedVector):
-        values = x.values
-        s_w1, s_b1, s_w2, s_b2 = self._slices
-        w1 = values[s_w1].reshape(self.hidden, -1)
-        w2 = values[s_w2].reshape(self._classes, self.hidden)
-        if self.with_bias:
-            return w1, values[s_b1], w2, values[s_b2]
-        b1, b2 = self._zero_biases
-        return w1, b1, w2, b2
+    def _unpack(self, x):
+        """W1, b1, W2, b2 of one point (a BlockedVector) or of each row of an (m, p) array.
 
-    def _buffers(self, batch: int) -> tuple[np.ndarray, ...]:
-        """Scratch arrays h, gh (batch x hidden), z2, e (batch x classes), zmax (batch).
+        A stack gets a leading axis on every block.  A bias gets an axis
+        of length 1 before its units, so it broadcasts over the samples;
+        an absent bias is 0.0.
+        """
+        values = x.values if isinstance(x, BlockedVector) else x
+        lead = values.shape[:-1]
+        s = self._slices
+        w1 = values[..., s["W1"]].reshape(lead + (self.hidden, -1))
+        w2 = values[..., s["W2"]].reshape(lead + (self._classes, self.hidden))
+        if self.with_bias:
+            return w1, values[..., None, s["b1"]], w2, values[..., None, s["b2"]]
+        return w1, 0.0, w2, 0.0
+
+    def _buffers(self, batch: int) -> tuple:
+        """Scratch arrays gh (batch x hidden) and the forward pass's (h, z2, e, zmax).
 
         One set per batch size, built on first use and kept; every call
         overwrites the arrays it uses before reading them.
         """
         buffers = self._scratch.get(batch)
         if buffers is None:
-            classes = self._classes
-            buffers = self._scratch[batch] = (
-                np.empty((batch, self.hidden)),
-                np.empty((batch, self.hidden)),
-                np.empty((batch, classes)),
-                np.empty((batch, classes)),
-                np.empty(batch),
-            )
+            rows, cols = (batch, self.hidden), (batch, self._classes)
+            forward = (np.empty(rows), np.empty(cols), np.empty(cols), np.empty(batch))
+            buffers = self._scratch[batch] = (np.empty(rows), forward)
         return buffers
+
+    def _forward(self, params, xb: np.ndarray, yb: np.ndarray, out=(None, None, None, None)):
+        """The scaled loss, hidden activations h, logits z2, e = exp(z2 - row max) and e's row sums.
+
+        ``params`` is what :meth:`_unpack` returns, for one point or a
+        stack of them; a stack gives one loss per point and a leading axis
+        on every array.  ``out`` is (h, z2, e, zmax) arrays to write into,
+        or None for each array to allocate.  A stacked ``matmul`` makes
+        the same BLAS call per point as the 2-D one, and every reduction
+        runs along a contiguous last axis, so a point's loss has the same
+        bits alone or in a stack.
+        """
+        w1, b1, w2, b2 = params
+        h, z2, e, zmax = out
+        h = np.matmul(xb, w1.swapaxes(-1, -2), out=h)
+        h += b1
+        np.tanh(h, out=h)
+        z2 = np.matmul(h, w2.swapaxes(-1, -2), out=z2)
+        z2 += b2
+
+        # Row max, one class column at a time: a max returns one of its
+        # inputs (NaN propagates), so this equals z2.max(axis=-1) up to the
+        # sign of a zero, which neither exp(z2 - zmax) nor log(total) + zmax
+        # can see.  ``1 % classes`` keeps a one-class task valid.
+        zmax = np.maximum(z2[..., 0], z2[..., 1 % self._classes], out=zmax)
+        for c in range(2, self._classes):
+            np.maximum(zmax, z2[..., c], out=zmax)
+        e = np.subtract(z2, zmax[..., None], out=e)
+        np.exp(e, out=e)
+        total = e.sum(axis=-1)
+        logsumexp = np.log(total) + zmax
+        # the mean as np.mean computes it, without its fixed cost per call
+        batch = xb.shape[0]
+        loss = (logsumexp - z2[..., np.arange(batch), yb]).sum(axis=-1) / batch
+        if self.loss_scale != 1.0:
+            loss = loss * self.loss_scale
+        return loss, h, z2, e, total
 
     def _loss_and_grad(
         self, x: BlockedVector, xb: np.ndarray, yb: np.ndarray, onehot: np.ndarray
     ) -> tuple[float, np.ndarray]:
-        w1, b1, w2, b2 = self._unpack(x)
+        params = self._unpack(x)
         batch = xb.shape[0]
-        h, gh, z2, e, zmax = self._buffers(batch)
-
-        np.matmul(xb, w1.T, out=h)
-        h += b1
-        np.tanh(h, out=h)
-        np.matmul(h, w2.T, out=z2)
-        z2 += b2
-
-        # Row max, one class column at a time: a max returns one of its
-        # inputs (NaN propagates), so this equals z2.max(axis=1) up to the
-        # sign of a zero, which neither exp(z2 - zmax) nor log(total) + zmax
-        # can see.  ``1 % classes`` keeps a one-class task valid.
-        np.maximum(z2[:, 0], z2[:, 1 % self._classes], out=zmax)
-        for c in range(2, self._classes):
-            np.maximum(zmax, z2[:, c], out=zmax)
-        np.subtract(z2, zmax[:, None], out=e)
-        np.exp(e, out=e)
-        total = e.sum(axis=1)
-        logsumexp = np.log(total) + zmax
-        loss = float(np.mean(logsumexp - z2[np.arange(batch), yb]))
+        gh, out = self._buffers(batch)
+        loss, h, _, e, total = self._forward(params, xb, yb, out)
 
         # e becomes the softmax probabilities, then the gradient wrt z2;
         # subtracting the one-hot 0.0 leaves every other entry as it is
@@ -388,21 +408,18 @@ class MlpTask(Landscape):
 
         gw2 = e.T @ h
         gb2 = e.sum(axis=0)
-        np.matmul(e, w2, out=gh)
+        np.matmul(e, params[2], out=gh)
         np.multiply(h, h, out=h)
         np.subtract(1.0, h, out=h)  # h is now tanh' = 1 - h*h
         gh *= h
         gw1 = gh.T @ xb
         gb1 = gh.sum(axis=0)
 
-        if self.with_bias:
-            grad = np.concatenate((gw1.ravel(), gb1, gw2.ravel(), gb2))
-        else:
-            grad = np.concatenate((gw1.ravel(), gw2.ravel()))
+        grads = {"W1": gw1, "b1": gb1, "W2": gw2, "b2": gb2}
+        grad = np.concatenate([grads[name].ravel() for name in self._slices])
         if self.loss_scale != 1.0:
-            loss = loss * self.loss_scale
             grad *= self.loss_scale
-        return loss, grad
+        return float(loss), grad
 
     def evaluate(self, x: BlockedVector) -> tuple[float, BlockedVector]:
         if x.partition != self.partition:
@@ -422,53 +439,28 @@ class MlpTask(Landscape):
     def losses(self, points: np.ndarray) -> np.ndarray:
         """Full-batch loss at each row of ``points``, bit for bit as ``evaluate``.
 
-        Each chunk of rows is the forward pass of ``_loss_and_grad`` with a
-        leading parameter axis: a stacked ``matmul`` makes the same BLAS
-        call per slice as the 2-D one, and every reduction runs along a
-        contiguous last axis, as it does there.  Chunks keep the hidden
-        activations under ``_LOSSES_CHUNK_ELEMENTS`` elements.
+        One stacked :meth:`_forward` per chunk of rows, into fresh arrays;
+        chunks keep the hidden activations under ``_LOSSES_CHUNK_ELEMENTS``
+        elements.
         """
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or points.shape[1] != self.partition.p:
             raise ValueError(f"points must have shape (m, {self.partition.p}), got {points.shape}")
         data = self.dataset
-        samples = np.arange(data.n)
         step = max(1, _LOSSES_CHUNK_ELEMENTS // (data.n * self.hidden))
-        s_w1, s_b1, s_w2, s_b2 = self._slices
         out = np.empty(points.shape[0])
         for start in range(0, points.shape[0], step):
             chunk = points[start : start + step]
-            m = chunk.shape[0]
-            w1 = chunk[:, s_w1].reshape(m, self.hidden, -1)
-            w2 = chunk[:, s_w2].reshape(m, self._classes, self.hidden)
-            if self.with_bias:
-                b1, b2 = chunk[:, None, s_b1], chunk[:, None, s_b2]
-            else:
-                b1, b2 = self._zero_biases
-
-            h = np.matmul(data.xs, w1.transpose(0, 2, 1))
-            h += b1
-            np.tanh(h, out=h)
-            z2 = np.matmul(h, w2.transpose(0, 2, 1))
-            z2 += b2
-
-            zmax = np.maximum(z2[..., 0], z2[..., 1 % self._classes])
-            for c in range(2, self._classes):
-                np.maximum(zmax, z2[..., c], out=zmax)
-            e = np.exp(z2 - zmax[..., None])
-            logsumexp = np.log(e.sum(axis=-1)) + zmax
-            out[start : start + m] = np.mean(logsumexp - z2[:, samples, data.labels], axis=-1)
-        if self.loss_scale != 1.0:
-            out *= self.loss_scale
+            out[start : start + chunk.shape[0]] = self._forward(self._unpack(chunk), data.xs, data.labels)[0]
         if not np.all(np.isfinite(out)):
             bad = int(np.argmin(np.isfinite(out)))
             raise EvaluationError(f"MlpTask produced a non-finite loss at row {bad} of {points.shape[0]}")
         return out
 
     def accuracy(self, x: BlockedVector) -> float:
-        w1, b1, w2, b2 = self._unpack(x)
-        z2 = np.tanh(self.dataset.xs @ w1.T + b1) @ w2.T + b2
-        return float(np.mean(z2.argmax(axis=1) == self.dataset.labels))
+        data = self.dataset
+        z2 = self._forward(self._unpack(x), data.xs, data.labels)[2]
+        return float(np.mean(z2.argmax(axis=1) == data.labels))
 
     def gradient_noise(self, x: BlockedVector) -> float:
         """Empirical sigma^2: mean squared deviation of per-sample gradients."""

@@ -101,9 +101,9 @@ class Schedule:
     """Learning-rate schedule: linear warmup then constant or cosine decay."""
 
     kind: str = "cosine"
-    base_lr: float = 1e-3
+    base_lr: float = 0.05
     warmup_steps: int = 0
-    total_steps: int = 1
+    total_steps: int = 100
 
     def __post_init__(self) -> None:
         if self.kind not in ("constant", "cosine"):

@@ -36,7 +36,6 @@ __all__ = [
     "AuditResult",
     "convergence_audit",
     "phi_pseudo_norm",
-    "block_phi_norm",
     "structured_phi_norm",
     "estimate_smoothness",
 ]
@@ -253,20 +252,10 @@ def phi_pseudo_norm(v: BlockedVector) -> float:
     return math.sqrt(max(0.0, v.dot(centralize(v))))
 
 
-def _block_phi_norms(v: BlockedVector) -> list[float]:
-    """The centralized pseudo-norm of every block alone."""
-    c = centralize(v)
-    return [math.sqrt(max(0.0, float(np.dot(v.values[sl], c.values[sl])))) for sl in v.partition.slices]
-
-
-def block_phi_norm(v: BlockedVector, k: int) -> float:
-    """The centralized pseudo-norm of block ``k`` alone."""
-    return _block_phi_norms(v)[k]
-
-
 def structured_phi_norm(v: BlockedVector) -> float:
     """Sum over blocks of the per-block centralized pseudo-norm."""
-    return float(sum(_block_phi_norms(v)))
+    c = centralize(v)
+    return float(sum(math.sqrt(max(0.0, float(np.dot(v.values[sl], c.values[sl])))) for sl in v.partition.slices))
 
 
 def estimate_smoothness(

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -7,8 +8,8 @@ import pytest
 
 from singopt import standardize
 from singopt.cli import main
-from singopt.config import parse_config
-from singopt.optimizers import ConfigError
+from singopt.config import SCHEMA, parse_config
+from singopt.optimizers import ConfigError, HostOptimizerConfig, LookAheadConfig, Schedule, SingPipelineConfig
 from singopt.trace import RunTrace, TraceFormatError
 
 WELLS_CFG = """\
@@ -66,6 +67,23 @@ def test_parse_config_sing_master_switch():
     no_gc = parse_config("sing.enabled = true\nsing.centralize = false\n")
     assert no_gc.pipeline.standardize.normalize_enabled
     assert not no_gc.pipeline.standardize.centralize_enabled
+
+
+def test_schema_defaults_equal_the_dataclass_defaults():
+    # one set of defaults: the objects a library user builds with no
+    # arguments are the ones an empty config file builds
+    made_by = {"host": HostOptimizerConfig, "lookahead": LookAheadConfig, "schedule": Schedule, "pipeline": SingPipelineConfig}
+    filled = set()
+    for key, (text, parse, group, name) in SCHEMA.items():
+        if group in made_by:
+            defaults = {f.name: f.default for f in dataclasses.fields(made_by[group])}
+            assert parse(text) == defaults[name], key
+            filled.add(group)
+    assert filled == set(made_by)
+    setup = parse_config("")
+    assert setup.schedule == Schedule()
+    # the sing keys fill its StandardizeConfig through two switches
+    assert setup.pipeline == SingPipelineConfig()
 
 
 # -- trace io ---------------------------------------------------------------------

@@ -401,9 +401,28 @@ def test_oracle_gradients_do_not_alias_scratch_arrays():
     task = small_mlp(n=200)
     x1 = task.initial_params()
     x2 = BlockedVector(2.0 * x1.values + 0.5, task.partition)
+    points = np.vstack([x1.values, x2.values, x1.values - 0.25])
+    fresh = small_mlp(n=200)
+    losses_want, accuracy_want = fresh.losses(points).tobytes(), fresh.accuracy(x2)
+
+    def scratch_bytes(item=task._scratch):
+        # the bytes of every kept scratch array, however the per-batch sets nest
+        if isinstance(item, np.ndarray):
+            return [item.tobytes()]
+        return [b for sub in (item.values() if isinstance(item, dict) else item) for b in scratch_bytes(sub)]
+
+    def losses_and_accuracy_leave_scratch_alone():
+        # ``losses`` and ``accuracy`` share the forward pass but allocate
+        # their own arrays: the kept scratch arrays keep every bit
+        scratch = scratch_bytes()
+        assert task.losses(points).tobytes() == losses_want
+        assert task.accuracy(x2) == accuracy_want
+        assert scratch_bytes() == scratch
+
     loss1, g1 = task.evaluate(x1)
     kept = g1.values.copy()
     task.evaluate(x2)
+    losses_and_accuracy_leave_scratch_alone()
     task.minibatch(x2, np.arange(200))
     task.minibatch(x2, np.arange(7))
     assert np.array_equal(g1.values, kept)
@@ -414,6 +433,7 @@ def test_oracle_gradients_do_not_alias_scratch_arrays():
     idx = np.arange(128) * 3 % 200
     loss_want, g_want = small_mlp(n=200).minibatch(x2, idx)
     first = task.minibatch(x2, idx)
+    losses_and_accuracy_leave_scratch_alone()
     task.evaluate(x1)
     second = task.minibatch(x2, idx)
     for loss, g in (first, second):
@@ -528,6 +548,24 @@ def test_fd_gradient_rejects_a_foreign_partition():
     other = BlockedVector(np.zeros(3), BlockPartition.of([("b", (3,))]))
     with pytest.raises(ValueError, match="partition mismatch"):
         fd_gradient(land, other, h=1e-5)
+
+
+FOREIGN_CASES = {
+    "quadratic": lambda: Quadratic(BlockPartition.of([("a", (3,)), ("b", (2, 2))])),
+    "rosenbrock": Rosenbrock,
+    "wells1d": GaussianWells1D.default,
+    "mlp": lambda: small_mlp(n=30),
+}
+
+
+@pytest.mark.parametrize("name", FOREIGN_CASES)
+def test_evaluate_rejects_a_foreign_partition(name):
+    land = FOREIGN_CASES[name]()
+    p = land.partition.p
+    # the same size under another name, and one element more
+    for part in (BlockPartition.of([("other", (p,))]), BlockPartition.of([("other", (p + 1,))])):
+        with pytest.raises(ValueError, match="partition mismatch"):
+            land.evaluate(BlockedVector(np.zeros(part.p), part))
 
 
 def test_non_finite_loss_raises_from_losses_and_fd_gradient():

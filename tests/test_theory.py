@@ -244,8 +244,11 @@ def test_phi_pythagoras():
 
 def test_structured_phi_norm_sums_blocks():
     rng = np.random.default_rng(15)
-    v = random_blocked(rng)
-    from singopt.theory import block_phi_norm
-
-    total = sum(block_phi_norm(v, k) for k in range(v.partition.D))
-    assert structured_phi_norm(v) == pytest.approx(total, rel=1e-15)
+    for _ in range(20):
+        v = random_blocked(rng)
+        # each block tensor centralized alone, as a one-block vector
+        total = 0.0
+        for k, block in enumerate(v.blocks()):
+            alone = BlockedVector(block.ravel().copy(), BlockPartition.of([(v.partition.name(k), block.shape)]))
+            total += math.sqrt(max(0.0, float(np.dot(alone.values, centralize(alone).values))))
+        assert structured_phi_norm(v) == pytest.approx(total, rel=1e-15)

@@ -90,8 +90,9 @@ def test_convergence_trace_headers_reproduce_their_runs(monkeypatch):
 
 
 def test_fd_check_catches_a_slightly_wrong_mlp_gradient(monkeypatch):
-    # the fd oracle computes the loss its own way (``MlpTask.losses``), so
-    # an analytic gradient off by 0.1% must still fail its check
+    # the fd oracle differences ``MlpTask.losses``, which shares the
+    # forward pass but not ``_loss_and_grad``, so an analytic gradient off
+    # by 0.1% must still fail its check
     original = MlpTask._loss_and_grad
 
     def skewed(self, *args):
