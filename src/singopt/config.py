@@ -11,9 +11,11 @@ square root) or ``sing.epsilon``.  Other range checks stay with the
 objects the values build; an error from the optimizer, LookAhead,
 schedule or pipeline config names its keys, with the line of each key
 the file set.  The task builder's ``task.n >= task.classes`` check names
-only the values.  Override keys are checked like file keys: an unknown
-one, or a bad value, is a :class:`ConfigError` naming the key (there is
-no line to name).
+only the values.  ``schedule.base_lr * weight_decay`` must be below 1:
+weight decay scales parameters by ``1 - lr * weight_decay``, and the
+schedule peaks at ``base_lr``; the error names both keys.  Override keys
+are checked like file keys: an unknown one, or a bad value, is a
+:class:`ConfigError` naming the key (there is no line to name).
 """
 
 from __future__ import annotations
@@ -166,6 +168,10 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunSetup
             where = f"line {lineno_of[key]}: " if key in lineno_of else ""
             raise ConfigError(f"{where}{key}: {exc}") from None
 
+    def where(keys) -> str:
+        # each key, after the line that set it, if a line did
+        return ", ".join(f"line {lineno_of[key]}: {key}" if key in lineno_of else key for key in keys)
+
     def build(group: str, make, **kwargs):
         # a range error names its keys, and the lines that set them
         try:
@@ -173,9 +179,7 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunSetup
         except ConfigError as exc:
             if not exc.field:
                 raise
-            keys = [_KEY_OF[group, name] for name in exc.field]
-            where = ", ".join(f"line {lineno_of[key]}: {key}" if key in lineno_of else key for key in keys)
-            raise ConfigError(f"{where}: {exc}") from None
+            raise ConfigError(f"{where(_KEY_OF[group, name] for name in exc.field)}: {exc}") from None
 
     sing = fields["sing"]
     standardize = StandardizeConfig(
@@ -192,6 +196,13 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunSetup
         **fields["pipeline"],
     )
     schedule = build("schedule", Schedule, **fields["schedule"])
+    # the schedule peaks at base_lr, and a factor 1 - lr * weight_decay <= 0 flips signs
+    shrink = schedule.base_lr * pipeline.weight_decay
+    if shrink >= 1.0:
+        raise ConfigError(
+            f"{where(('schedule.base_lr', 'weight_decay'))}: "
+            f"base_lr * weight_decay = {shrink} >= 1 would flip parameter signs"
+        )
     return RunSetup(pipeline=pipeline, schedule=schedule, task=fields["task"], raw=values, **fields["setup"])
 
 

@@ -180,6 +180,8 @@ def apply_weight_decay(p: BlockedVector, lr: float, cfg: SingPipelineConfig) -> 
     if cfg.weight_decay == 0.0:
         return p.copy()
     shrink = lr * cfg.weight_decay
+    # parse_config rejects base_lr * weight_decay >= 1; this also covers objects
+    # built directly, and a warmup lr that rounds a bit above base_lr
     if shrink >= 1.0:
         raise ConfigError(f"lr * weight_decay = {shrink} >= 1 would flip parameter signs")
     part = p.partition

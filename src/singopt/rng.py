@@ -1,12 +1,15 @@
 """Deterministic 64-bit PRNG for synthetic data and initialization.
 
-The generator is xoshiro256** (Blackman/Vigna) seeded through SplitMix64,
-both implemented on plain Python integers so the stream is bit-identical
-on every platform.  Uniform doubles are built from the top 53 bits of a
-64-bit output; approximately-normal draws use a 12-uniform sum, which
-involves only correctly-rounded IEEE additions and therefore stays
-bit-identical across platforms (a transcendental-based transform such as
-Box-Muller would inherit libm differences).
+The generator is xoshiro256** (Blackman/Vigna) seeded through SplitMix64.
+Short draws step the state on plain Python integers; long draws step many
+lanes at once in numpy ``uint64`` arrays, each lane started a fixed number
+of words ahead by a jump (:mod:`singopt.lanes`), and give the same words in
+the same order.  Both are exact integer arithmetic, so the stream is
+bit-identical on every platform.  Uniform doubles are built from the top
+53 bits of a 64-bit output; approximately-normal draws use a 12-uniform
+sum, which involves only correctly-rounded IEEE additions and therefore
+stays bit-identical across platforms (a transcendental-based transform
+such as Box-Muller would inherit libm differences).
 """
 
 from __future__ import annotations
@@ -16,7 +19,12 @@ import numpy as np
 __all__ = ["SplitMix64", "Xoshiro256", "derive_seed"]
 
 _MASK64 = (1 << 64) - 1
-_NORMALS_CHUNK = 256
+
+# draws of this many words or more step numpy lanes (singopt.lanes); below it
+# the scalar loop is faster
+_LANE_MIN_WORDS = 1024
+# rows of normals per block: 12 words a row, at most 1 MiB of words
+_NORMALS_BLOCK = (1 << 17) // 12
 
 
 class SplitMix64:
@@ -59,14 +67,13 @@ class Xoshiro256:
 
         Each row of 12 words becomes 12 uniforms, summed column by column
         from column 0 and then shifted by 6.0: the additions of
-        :meth:`normal`, in its order.  Rows are drawn ``_NORMALS_CHUNK`` at
-        a time: a long draw then never holds more than a chunk's words as
-        Python ints, which would otherwise leave the heap megabytes larger.
+        :meth:`normal`, in its order.  Rows are drawn ``_NORMALS_BLOCK`` at
+        a time, so a long draw holds at most 1 MiB of words.
         """
         out = np.empty(count)
-        for start in range(0, count, _NORMALS_CHUNK):
-            total = out[start : start + _NORMALS_CHUNK]
-            words = np.array(self._words(12 * total.size), dtype=np.uint64).reshape(total.size, 12)
+        for start in range(0, count, _NORMALS_BLOCK):
+            total = out[start : start + _NORMALS_BLOCK]
+            words = self._word_array(12 * total.size).reshape(total.size, 12)
             words >>= np.uint64(11)
             uniforms = words.astype(np.float64)
             uniforms *= 2.0 ** -53
@@ -77,10 +84,11 @@ class Xoshiro256:
         return out
 
     def _words(self, count: int) -> list[int]:
-        """The next ``count`` output words: the one copy of the xoshiro256** step.
+        """The next ``count`` output words, one scalar xoshiro256** step each.
 
         The state update runs inline on local integers, which saves a
-        method call per word, and the state is written back once.
+        method call per word, and the state is written back once.  Long
+        draws go through :meth:`_word_array`, which steps lanes instead.
         """
         s0, s1, s2, s3 = self.s
         mask = _MASK64
@@ -100,18 +108,29 @@ class Xoshiro256:
         self.s[:] = (s0, s1, s2, s3)
         return words
 
+    def _word_array(self, count: int) -> np.ndarray:
+        """The next ``count`` words as a uint64 array: scalar steps, or lanes for long draws."""
+        if count < _LANE_MIN_WORDS:
+            return np.array(self._words(count), dtype=np.uint64)
+        from . import lanes  # here, so that importing the package does not compile it
+
+        words, self.s[:] = lanes.draw(self.s, count)
+        return words
+
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n), as an int64 array.
 
         It draws the :meth:`next_u64` stream, one word per swap:
         ``j = next_u64() % (i + 1)`` for ``i = n-1`` down to 1, and leaves
         the generator where ``n - 1`` calls of :meth:`next_u64` would.  The
-        swaps run on a list, which saves numpy scalar indexing.
+        remainders are one uint64 array op; the swaps run on a list, which
+        saves numpy scalar indexing.
         """
         idx = list(range(n))
-        for i, word in zip(range(n - 1, 0, -1), self._words(n - 1)):
-            j = word % (i + 1)
-            idx[i], idx[j] = idx[j], idx[i]
+        if n > 1:
+            js = self._word_array(n - 1) % np.arange(n, 1, -1, dtype=np.uint64)
+            for i, j in zip(range(n - 1, 0, -1), js.tolist()):
+                idx[i], idx[j] = idx[j], idx[i]
         return np.array(idx, dtype=np.int64)
 
 

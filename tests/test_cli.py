@@ -229,6 +229,24 @@ def test_range_errors_name_line_and_key(tmp_path, capsys, text, named):
     assert f"error: {named}" in err
 
 
+def test_base_lr_times_weight_decay_is_checked_when_the_file_is_read(tmp_path, capsys):
+    # the schedule peaks at base_lr, where 1 - lr * weight_decay must stay positive;
+    # a run must not start (and write no trace) only to fail at that step
+    cfg = tmp_path / "wd.cfg"
+    cfg.write_text("task.kind = wells1d\nweight_decay = 30\nschedule.warmup_steps = 10\n")
+    out = tmp_path / "o.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "error: schedule.base_lr, line 2: weight_decay: base_lr * weight_decay = 1.5 >= 1" in err
+    assert not out.exists()
+    with pytest.raises(ConfigError, match=r"^line 2: schedule.base_lr, line 3: weight_decay: .* = 1.0 >= 1"):
+        parse_config("task.kind = wells1d\nschedule.base_lr = 0.5\nweight_decay = 2\n")
+    with pytest.raises(ConfigError, match=r"^schedule.base_lr, line 1: weight_decay: .* = 3.0 >= 1"):
+        parse_config("weight_decay = 30\n", overrides={"schedule.base_lr": "0.1"})
+    assert parse_config("schedule.base_lr = 0.5\nweight_decay = 1.99\n").pipeline.weight_decay == 1.99
+
+
 def test_range_error_from_an_override_names_the_key_without_a_line():
     with pytest.raises(ConfigError, match=r"^optimizer.beta2: beta2 must be in \[0, 1\), got 1.5$"):
         parse_config("optimizer.beta2 = 0.9\n", overrides={"optimizer.beta2": "1.5"})

@@ -7,10 +7,15 @@ xoshiro256** words agree with the reference C of Blackman & Vigna
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from singopt import lanes, rng
 from singopt.rng import SplitMix64, Xoshiro256, derive_seed
 
 MAX = 2**64 - 1
@@ -128,16 +133,17 @@ def test_permutation_2000_and_the_state_it_leaves(seed):
 
 
 def test_permutation_draws_the_next_u64_stream():
-    # Fisher-Yates takes j = next_u64() % (i + 1) for i = n-1 down to 1
-    n = 50
-    words = Xoshiro256(1)
-    expected = list(range(n))
-    for i in range(n - 1, 0, -1):
-        j = words.next_u64() % (i + 1)
-        expected[i], expected[j] = expected[j], expected[i]
-    gen = Xoshiro256(1)
-    assert gen.permutation(n).tolist() == expected
-    assert gen.s == words.s
+    # Fisher-Yates takes j = next_u64() % (i + 1) for i = n-1 down to 1; from
+    # n - 1 = 1024 words on, the words come from lanes
+    for n in (50, 1024, 1025, 1026, 5000):
+        words = Xoshiro256(1)
+        expected = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = words.next_u64() % (i + 1)
+            expected[i], expected[j] = expected[j], expected[i]
+        gen = Xoshiro256(1)
+        assert gen.permutation(n).tolist() == expected
+        assert gen.s == words.s
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -153,7 +159,9 @@ def test_normals_4000_bytes(seed):
     assert hashlib.sha256(normals.astype("<f8").tobytes()).hexdigest() == NORMALS_4000[seed]
 
 
-@pytest.mark.parametrize("count", [1, 7, 4000])
+# 85 normals are 1020 words and take the scalar loop, 86 take lanes, and
+# more than _NORMALS_BLOCK rows take two blocks
+@pytest.mark.parametrize("count", [1, 7, 85, 86, 4000, rng._NORMALS_BLOCK + 5])
 def test_normals_equal_scalar_normal_draws(count):
     scalar, vector = Xoshiro256(2), Xoshiro256(2)
     expected = np.array([scalar.normal() for _ in range(count)])
@@ -168,3 +176,60 @@ def test_normals_of_zero_draws_nothing():
     assert empty.dtype == np.float64
     assert empty.shape == (0,)
     assert gen.next_u64() == XOSHIRO[0][0]
+
+
+# -- the lane path: long draws step many generators at once, same stream -------
+
+LANE_MIN = rng._LANE_MIN_WORDS
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12, MAX])
+def test_charpoly_annihilates_the_state_update(seed):
+    # Cayley-Hamilton: the XOR of the states A^i s at the set bits i of the
+    # characteristic polynomial is zero, for every state s
+    assert lanes._CHARPOLY.bit_length() - 1 == 256
+    gen, acc = Xoshiro256(seed), [0, 0, 0, 0]
+    for i in range(257):
+        if lanes._CHARPOLY >> i & 1:
+            acc = [a ^ b for a, b in zip(acc, gen.s)]
+        gen._words(1)
+    assert acc == [0, 0, 0, 0]
+
+
+# one lane; around the lane threshold; counts that are not a multiple of the
+# lane length; the shuffle of mlp-readme; each change of lane length; and
+# draws longer than one lane pass
+LANE_COUNTS = [1, 5, 8, 9, 257, LANE_MIN - 1, LANE_MIN, LANE_MIN + 1, 1999, 2047, 2048, 8191, 8192, 131072, 200003]
+
+
+@pytest.mark.parametrize("seed", [0, MAX])
+@pytest.mark.parametrize("count", LANE_COUNTS)
+def test_lane_words_equal_the_scalar_loop(seed, count):
+    scalar = Xoshiro256(seed)
+    expected = scalar._words(count)
+    words, state = lanes.draw(list(Xoshiro256(seed).s), count)
+    assert words.dtype == np.uint64 and words.tolist() == expected
+    assert state == scalar.s
+    gen = Xoshiro256(seed)  # through the size switch
+    assert gen._word_array(count).tolist() == expected
+    assert gen.s == scalar.s
+    assert gen.next_u64() == scalar.next_u64()
+
+
+def test_a_longer_draw_extends_the_jump_tables_without_changing_words():
+    # passes below 1024 words take 8 steps a lane; the tables grow at least twofold
+    lanes._JUMPS.pop(8, None)
+    for count, built in [(75, 10), (88, 20), (160, 20), (328, 41)]:
+        scalar = Xoshiro256(4)
+        words, state = lanes.draw(list(Xoshiro256(4).s), count)
+        assert words.tolist() == scalar._words(count) and state == scalar.s
+        assert lanes._JUMPS[8].shape == (32, built)
+
+
+def test_importing_the_package_leaves_the_lanes_unloaded():
+    # check-all's set-up is the import alone: the lane module and its tables wait for a long draw
+    probe = "import sys, singopt.verify; print('singopt.lanes' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
