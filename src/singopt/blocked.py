@@ -8,6 +8,7 @@ used elsewhere in the package are defined on top of this layout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -52,7 +53,8 @@ class BlockPartition:
 
     @cached_property
     def sizes(self) -> tuple[int, ...]:
-        return tuple(int(np.prod(shape)) for _, shape in self.blocks)
+        # math.prod of Python ints cannot overflow, where np.prod wraps in int64
+        return tuple(math.prod(shape) for _, shape in self.blocks)
 
     @cached_property
     def offsets(self) -> tuple[int, ...]:

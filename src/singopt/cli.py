@@ -19,7 +19,6 @@ path that cannot be read or written), 3 numeric divergence.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -31,7 +30,7 @@ from .optimizers import ConfigError
 from .runner import run_setup
 from .svgplot import PlotError, render_columns, render_escape_overlay
 from .trace import RunTrace, TraceFormatError
-from .verify import MANIFEST, run_suite
+from .verify import MANIFEST, report, run_suite
 
 __all__ = ["main"]
 
@@ -53,18 +52,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    suites = list(MANIFEST) if args.suite == "all" else [args.suite]
-    lines = []
-    for suite in suites:
-        lines.append(json.dumps({"manifest": suite, "covers": MANIFEST[suite]}, sort_keys=True))
     records = run_suite(args.suite, args.seed)
-    for rec in records:
-        lines.append(json.dumps(rec.as_json_dict(), sort_keys=True))
-    report = "\n".join(lines) + "\n"
+    text = report(args.suite, records)
     if args.report:
-        Path(args.report).write_text(report, encoding="utf-8")
+        Path(args.report).write_text(text, encoding="utf-8")
     else:
-        sys.stdout.write(report)
+        sys.stdout.write(text)
     failed = [rec for rec in records if not rec.passed]
     for rec in records:
         status = "PASS" if rec.passed else "FAIL"

@@ -11,7 +11,7 @@ square root) or ``sing.epsilon``.  Other range checks stay with the
 objects the values build; an error from the optimizer, LookAhead,
 schedule or pipeline config names its keys, with the line of each key
 the file set.  The task builder's ``task.n >= task.classes`` check names
-only the values.  ``schedule.base_lr * weight_decay`` must be below 1:
+only the values; its MLP size bound names the key.  ``schedule.base_lr * weight_decay`` must be below 1:
 weight decay scales parameters by ``1 - lr * weight_decay``, and the
 schedule peaks at ``base_lr``; the error names both keys.  Override keys
 are checked like file keys: an unknown one, or a bad value, is a

@@ -38,7 +38,9 @@ from .trace import RunTrace
 
 __all__ = ["RunResult", "build_task", "run_experiment", "run_setup"]
 
-MAX_COORDINATES = 2**24  # largest quadratic task.blocks x prod(task.block_shape)
+# largest quadratic task.blocks x prod(task.block_shape); for the MLP, the
+# largest parameter count and the largest n x width array a pass allocates
+MAX_COORDINATES = 2**24
 
 
 @dataclass
@@ -80,6 +82,24 @@ def _parse_start(start: tuple[float, ...], p: int) -> np.ndarray:
     return np.array(start)
 
 
+def _check_mlp_size(task: dict) -> None:
+    """Refuse, before allocating, an MLP whose parameters or per-pass arrays pass the bound."""
+    dim, hidden, classes = task["input_dim"], task["hidden"], task["classes"]
+    widest = max(("input_dim", "hidden", "classes"), key=task.get)
+    p = hidden * (dim + 1) + classes * (hidden + 1)
+    if p > MAX_COORDINATES:
+        raise ConfigError(
+            f"task.{widest}: input_dim {dim}, hidden {hidden} and classes {classes} make {p} parameters,"
+            f" more than {MAX_COORDINATES}"
+        )
+    values = task["n"] * task[widest]
+    if values > MAX_COORDINATES:
+        raise ConfigError(
+            f"task.n: {task['n']} points times task.{widest} {task[widest]} make {values} values per pass,"
+            f" more than {MAX_COORDINATES}"
+        )
+
+
 def build_task(setup: RunSetup) -> tuple[Landscape, BlockedVector, EpochBatcher | None]:
     """Instantiate the configured landscape, its start point and batch source.
 
@@ -111,6 +131,7 @@ def build_task(setup: RunSetup) -> tuple[Landscape, BlockedVector, EpochBatcher 
             raw *= np.sqrt(2.0 * task["f0"] / landscape.smoothness) / np.linalg.norm(raw)
             return landscape, BlockedVector(raw, partition), None
         if kind == "mlp":
+            _check_mlp_size(task)
             dataset = make_blobs(
                 seed=setup.seed,
                 n=task["n"],

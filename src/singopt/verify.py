@@ -3,9 +3,9 @@
 Five suites (``lemmas``, ``invariance``, ``escape``, ``convergence``,
 ``gradients``) together cover every stated invariant of the package; the
 suite-to-invariant mapping is exported as :data:`MANIFEST` so coverage
-is auditable from the check report itself.  Each check compares a
-measured quantity ``lhs`` against a bound ``rhs`` and passes iff
-``lhs <= rhs``.
+is auditable from the check report itself, which :func:`report` alone
+writes.  Each check compares a measured quantity ``lhs`` against a
+bound ``rhs`` and passes iff ``lhs <= rhs``.
 
 Every run the suites make is built from config text (and its task by
 ``runner.build_task`` where that makes the same object), so each trace
@@ -37,8 +37,9 @@ from .theory import (
     single_step_escape_check,
     structured_phi_norm,
 )
+from .trace import RunTrace
 
-__all__ = ["CheckRecord", "SUITES", "MANIFEST", "run_suite", "random_blocked"]
+__all__ = ["CheckRecord", "SUITES", "MANIFEST", "run_suite", "report", "random_blocked"]
 
 
 @dataclass
@@ -106,12 +107,12 @@ def check_lemmas(seed: int = 0, count: int = 300) -> list[CheckRecord]:
     for _ in range(count):
         g = random_blocked(rng)
         d = g.partition.D
+        # g is not written to until the round-trip below, so each norm is taken once
+        n_g, l2, phi = g.structured_norm(), g.l2_norm(), phi_pseudo_norm(g)
 
         out = standardize.sing_transform(g, _NORM_ONLY)
         worst_sqrt_d = max(worst_sqrt_d, abs(out.l2_norm() - math.sqrt(d)) / math.sqrt(d))
-        worst_inner = max(
-            worst_inner, abs(g.dot(out) - g.structured_norm()) / g.structured_norm()
-        )
+        worst_inner = max(worst_inner, abs(g.dot(out) - n_g) / n_g)
 
         out_gc = standardize.sing_transform(g, _EXACT)
         worst_sqrt_d_gc = max(worst_sqrt_d_gc, abs(out_gc.l2_norm() - math.sqrt(d)) / math.sqrt(d))
@@ -119,19 +120,16 @@ def check_lemmas(seed: int = 0, count: int = 300) -> list[CheckRecord]:
         if n_phi > 0:
             worst_inner_gc = max(worst_inner_gc, abs(g.dot(out_gc) - n_phi) / n_phi)
 
-        n_g = g.structured_norm()
-        worst_l2_excess = max(worst_l2_excess, (g.l2_norm() - n_g) / max(n_g, 1e-300))
-        worst_phi_excess = max(
-            worst_phi_excess, (phi_pseudo_norm(g) - g.l2_norm()) / max(g.l2_norm(), 1e-300)
-        )
+        worst_l2_excess = max(worst_l2_excess, (l2 - n_g) / max(n_g, 1e-300))
+        worst_phi_excess = max(worst_phi_excess, (phi - l2) / max(l2, 1e-300))
 
         block_sum = sum(g.block_l2_norm(k) for k in range(d))
-        worst_additivity = max(worst_additivity, abs(g.structured_norm() - block_sum) / max(block_sum, 1e-300))
+        worst_additivity = max(worst_additivity, abs(n_g - block_sum) / max(block_sum, 1e-300))
 
         cent = standardize.centralize(g)
         resid = BlockedVector(g.values - cent.values, g.partition)
-        pyth = abs(phi_pseudo_norm(g) ** 2 + resid.l2_norm() ** 2 - g.l2_norm() ** 2)
-        worst_pythagoras = max(worst_pythagoras, pyth / g.l2_norm() ** 2)
+        pyth = abs(phi**2 + resid.l2_norm() ** 2 - l2**2)
+        worst_pythagoras = max(worst_pythagoras, pyth / l2**2)
 
         k = int(rng.integers(0, d))
         before = g.block(k).copy()
@@ -399,6 +397,21 @@ def _audit_run_text(recipe: ConvergenceRecipe, mode: str) -> str:
     )
 
 
+def _audit_record(check: str, trace: RunTrace, recipe: ConvergenceRecipe, mode: str, **params) -> CheckRecord:
+    """Audit one run's trace; the bound is the tighter of the full and recipe bounds."""
+    audit = convergence_audit(trace, recipe, mode=mode)
+    return _record(
+        check,
+        audit.lhs,
+        min(audit.rhs, audit.rhs_recipe),
+        eta=recipe.eta,
+        T=recipe.T,
+        rhs_full=audit.rhs,
+        rhs_recipe=audit.rhs_recipe,
+        **params,
+    )
+
+
 def _quadratic_audit_records(d: int, mode: str) -> list[CheckRecord]:
     recipe = ConvergenceRecipe(epsilon=0.05, L=2.0, F0=1.0, D=d)
     shape = "4" if d == 1 else "2x2"
@@ -419,19 +432,8 @@ def _quadratic_audit_records(d: int, mode: str) -> list[CheckRecord]:
     raw = raw / np.linalg.norm(raw) * math.sqrt(2.0 * recipe.F0 / landscape.smoothness)
     x0 = BlockedVector(raw, part)
 
-    result = run_experiment(landscape, x0, setup)
-    audit = convergence_audit(result.trace, recipe, mode=mode)
-    return [
-        _record(
-            f"convergence.quadratic_D{d}_{mode}",
-            audit.lhs,
-            min(audit.rhs, audit.rhs_recipe),
-            eta=recipe.eta,
-            T=recipe.T,
-            rhs_full=audit.rhs,
-            rhs_recipe=audit.rhs_recipe,
-        )
-    ]
+    trace = run_experiment(landscape, x0, setup).trace
+    return [_audit_record(f"convergence.quadratic_D{d}_{mode}", trace, recipe, mode)]
 
 
 def _mlp_audit_records(seed: int = 0, epsilon: float = 0.25) -> list[CheckRecord]:
@@ -447,20 +449,10 @@ def _mlp_audit_records(seed: int = 0, epsilon: float = 0.25) -> list[CheckRecord
     for mode in ("l2", "phi"):
         setup = parse_config(f"{task_text}task.batch_size = {recipe.batch}\n" + _audit_run_text(recipe, mode))
         batcher = EpochBatcher(task.dataset.n, setup.task["batch_size"], setup.seed)
-        result = run_experiment(task, x0, setup, batcher)
-        audit = convergence_audit(result.trace, recipe, mode=mode)
+        trace = run_experiment(task, x0, setup, batcher).trace
         records.append(
-            _record(
-                f"convergence.mlp_{mode}",
-                audit.lhs,
-                min(audit.rhs, audit.rhs_recipe),
-                eta=recipe.eta,
-                T=recipe.T,
-                batch=recipe.batch,
-                sigma2=sigma2,
-                L_hat=smooth,
-                rhs_full=audit.rhs,
-                rhs_recipe=audit.rhs_recipe,
+            _audit_record(
+                f"convergence.mlp_{mode}", trace, recipe, mode, batch=recipe.batch, sigma2=sigma2, L_hat=smooth
             )
         )
     return records
@@ -603,13 +595,15 @@ def run_suite(name: str, seed: int = 0) -> list[CheckRecord]:
         try:
             records.extend(SUITES[n](seed=seed))
         except Exception as exc:  # deliberate: broken internals must fail, not abort
-            records.append(
-                CheckRecord(
-                    check=f"{n}.suite_crashed",
-                    lhs=1.0,
-                    rhs=0.0,
-                    passed=False,
-                    params={"error": f"{type(exc).__name__}: {exc}"},
-                )
-            )
+            records.append(_record(f"{n}.suite_crashed", 1.0, 0.0, error=f"{type(exc).__name__}: {exc}"))
     return records
+
+
+def report(name: str, records: list[CheckRecord]) -> str:
+    """The JSON-lines check report: one manifest line per suite of ``name``, then one line per record."""
+    import json  # here, not at the top: importing this module stays free of json
+
+    suites = list(MANIFEST) if name == "all" else [name]
+    lines = [json.dumps({"manifest": s, "covers": MANIFEST[s]}, sort_keys=True) for s in suites]
+    lines += [json.dumps(rec.as_json_dict(), sort_keys=True) for rec in records]
+    return "\n".join(lines) + "\n"

@@ -38,6 +38,15 @@ def test_partition_rejects_bad_blocks(blocks):
         BlockPartition.of(blocks)
 
 
+def test_partition_sizes_do_not_overflow():
+    # 2**64 wraps to 0 in int64; a wrapped size would accept an empty vector
+    part = BlockPartition.of([("a", (2**32, 2**32))])
+    assert part.sizes == (2**64,)
+    assert part.p == 2**64
+    with pytest.raises(ValueError):
+        BlockedVector(np.zeros(0), part)
+
+
 def test_manifest_roundtrip():
     part = BlockPartition.of([("W1", (3, 4)), ("b1", (3,))])
     assert part.manifest() == "W1 3x4\nb1 3"

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from singopt import standardize
+from singopt import standardize, verify
 from singopt.cli import main
 from singopt.config import SCHEMA, parse_config
 from singopt.optimizers import ConfigError, HostOptimizerConfig, LookAheadConfig, Schedule, SingPipelineConfig
@@ -173,6 +173,12 @@ BAD_RUNS = [
     ("task.kind = quadratic\ntask.blocks = 0", 2, "block"),
     ("task.kind = quadratic\ntask.blocks = 100000000000", 2, "task.blocks"),
     ("task.kind = quadratic\ntask.block_shape = 1\ntask.blocks = 16777217", 2, "task.blocks"),
+    # MLP sizes are bounded before anything is allocated
+    ("task.kind = mlp\ntask.hidden = 100000000000", 2, "error: task.hidden: "),
+    ("task.kind = mlp\ntask.input_dim = 100000000000", 2, "error: task.input_dim: "),
+    ("task.kind = mlp\ntask.n = 3000000\ntask.classes = 3000000", 2, "error: task.classes: "),
+    ("task.kind = mlp\ntask.n = 1000000000000", 2, "error: task.n: "),
+    ("task.kind = mlp\ntask.n = 1048577\ntask.hidden = 16", 2, "error: task.n: "),
     ("task.kind = quadratic\ntask.smoothness = -1", 2, "smoothness"),
     ("task.kind = wells1d\nsing.epsilon = -1", 2, "epsilon"),
     # a zero gradient block cannot be normalized at epsilon = 0: divergence
@@ -340,6 +346,29 @@ def test_check_lemmas_passes_and_reports(tmp_path):
     assert manifest and checks
     assert all(rec["pass"] for rec in checks)
     assert all({"check", "lhs", "rhs", "pass", "params"} <= set(rec) for rec in checks)
+
+
+def test_check_without_report_prints_the_report_bytes(tmp_path, capsys):
+    report = tmp_path / "r.jsonl"
+    assert main(["check", "lemmas", "--report", str(report)]) == 0
+    capsys.readouterr()
+    assert main(["check", "lemmas"]) == 0
+    assert capsys.readouterr().out == report.read_text()
+
+
+def test_crashed_suite_is_one_failed_record(tmp_path, monkeypatch):
+    def crash(seed=0):
+        raise ValueError("boom")
+
+    monkeypatch.setitem(verify.SUITES, "escape", crash)
+    report = tmp_path / "r.jsonl"
+    assert main(["check", "escape", "--report", str(report)]) == 1
+    assert report.read_text() == (
+        json.dumps({"manifest": "escape", "covers": verify.MANIFEST["escape"]}, sort_keys=True)
+        + "\n"
+        + '{"check": "escape.suite_crashed", "lhs": 1.0, "params": {"error": "ValueError: boom"},'
+        ' "pass": false, "rhs": 0.0}\n'
+    )
 
 
 def test_check_unknown_suite_exits_2():

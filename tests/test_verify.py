@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,8 @@ from singopt.optimizers import lr_at
 from singopt.runner import build_task, run_experiment
 from singopt.trace import RunTrace
 from singopt.verify import MANIFEST, SUITES, run_suite
+
+SRC = str(Path(verify.__file__).parents[1])
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
@@ -113,3 +119,10 @@ def test_check_gradients_records_are_pinned():
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
         "2529d81eb70c2eac2faac671c725bf55e56f8b1ce45f1eee6853891515015d42"
     )
+
+
+def test_importing_verify_loads_no_json():
+    # the benchmark's set-up imports singopt.verify; json loads only when a report is written
+    code = "import sys, singopt.verify; assert 'json' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env={**os.environ, "PYTHONPATH": SRC})
+
