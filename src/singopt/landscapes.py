@@ -19,6 +19,7 @@ datasets are bit-identical across runs and platforms for a given seed.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +65,7 @@ class Landscape:
         return np.array([self.evaluate(BlockedVector(row, self.partition))[0] for row in points], dtype=np.float64)
 
     def _checked(self, x: BlockedVector, value: float, grad: np.ndarray) -> tuple[float, BlockedVector]:
-        if not np.isfinite(value) or not np.all(np.isfinite(grad)):
+        if not math.isfinite(value) or not np.isfinite(grad).all():
             raise EvaluationError(
                 f"{type(self).__name__} produced non-finite output at ||x||={np.linalg.norm(x.values):.3g}"
             )

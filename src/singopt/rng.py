@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SplitMix64", "Xoshiro256", "derive_seed"]
+__all__ = ["SplitMix64", "Xoshiro256", "derive_seed", "normals_from_words", "uniforms_from_words"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -65,22 +65,14 @@ class Xoshiro256:
     def normals(self, count: int) -> np.ndarray:
         """``count`` draws of :meth:`normal`, bit for bit, as a float64 array.
 
-        Each row of 12 words becomes 12 uniforms, summed column by column
-        from column 0 and then shifted by 6.0: the additions of
-        :meth:`normal`, in its order.  Rows are drawn ``_NORMALS_BLOCK`` at
-        a time, so a long draw holds at most 1 MiB of words.
+        Rows of 12 words are drawn ``_NORMALS_BLOCK`` at a time, so a long
+        draw holds at most 1 MiB of words, and :func:`normals_from_words`
+        turns each row into one normal.
         """
         out = np.empty(count)
         for start in range(0, count, _NORMALS_BLOCK):
-            total = out[start : start + _NORMALS_BLOCK]
-            words = self._word_array(12 * total.size).reshape(total.size, 12)
-            words >>= np.uint64(11)
-            uniforms = words.astype(np.float64)
-            uniforms *= 2.0 ** -53
-            total[:] = uniforms[:, 0]
-            for c in range(1, 12):
-                total += uniforms[:, c]
-        out -= 6.0
+            rows = min(_NORMALS_BLOCK, count - start)
+            out[start : start + rows] = normals_from_words(self._word_array(12 * rows))
         return out
 
     def _words(self, count: int) -> list[int]:
@@ -132,6 +124,28 @@ class Xoshiro256:
             for i, j in zip(range(n - 1, 0, -1), js.tolist()):
                 idx[i], idx[j] = idx[j], idx[i]
         return np.array(idx, dtype=np.int64)
+
+
+def uniforms_from_words(words: np.ndarray) -> np.ndarray:
+    """:meth:`Xoshiro256.uniform` of each word, bit for bit: ``(w >> 11) * 2^-53``."""
+    uniforms = (words >> np.uint64(11)).astype(np.float64)
+    uniforms *= 2.0 ** -53
+    return uniforms
+
+
+def normals_from_words(words: np.ndarray) -> np.ndarray:
+    """:meth:`Xoshiro256.normal` of each run of 12 words, bit for bit.
+
+    Each row of 12 words becomes 12 uniforms, summed column by column from
+    column 0 and then shifted by 6.0: the additions of :meth:`normal`, in
+    its order.
+    """
+    uniforms = uniforms_from_words(words.reshape(-1, 12))
+    total = uniforms[:, 0].copy()
+    for c in range(1, 12):
+        total += uniforms[:, c]
+    total -= 6.0
+    return total
 
 
 def derive_seed(seed: int, *salt: int) -> int:

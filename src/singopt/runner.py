@@ -7,10 +7,10 @@ parameter-update norm, the global parameter mean and per-block parameter
 norms.  Oracle norms (rather than minibatch ones) are logged so
 convergence audits can be evaluated directly from the trace.
 
-Divergence (non-finite loss, gradient or parameters, or a zero-norm
-gradient block that cannot be normalized at ``epsilon = 0``) stops the
-run; the partial trace carries a ``diverged`` footer and the result
-names the cause.
+Divergence (non-finite loss, gradient or parameters, a logged norm or
+mean past the float range, or a zero-norm gradient block that cannot be
+normalized at ``epsilon = 0``) stops the run; the partial trace carries
+a ``diverged`` footer and the result names the cause.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocked import BlockedVector, BlockPartition
+from .blocked import BlockedVector, BlockPartition, norm
 from .config import RunSetup
 from .landscapes import (
     EvaluationError,
@@ -128,7 +128,7 @@ def build_task(setup: RunSetup) -> tuple[Landscape, BlockedVector, EpochBatcher 
             gen = Xoshiro256(derive_seed(setup.seed, 0x900D))
             raw = gen.normals(partition.p)
             # scale so F(x0) = f0 (up to rounding); keeps the recipe's F0 an upper bound
-            raw *= np.sqrt(2.0 * task["f0"] / landscape.smoothness) / np.linalg.norm(raw)
+            raw *= np.sqrt(2.0 * task["f0"] / landscape.smoothness) / norm(raw)
             return landscape, BlockedVector(raw, partition), None
         if kind == "mlp":
             _check_mlp_size(task)
@@ -164,34 +164,37 @@ def run_experiment(
 
     for t in range(schedule.total_steps):
         lr = lr_at(schedule, t)
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
+        # overflow and nan stop the run below with a named cause, not with a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
                 if batcher is not None:
                     loss, grad = landscape.minibatch(params, batcher.next_indices())
                     _, oracle_grad = landscape.evaluate(params)
                 else:
                     loss, grad = landscape.evaluate(params)
                     oracle_grad = grad
-            if not np.isfinite(loss) or not np.all(np.isfinite(grad.values)):
-                return stop(t, "non-finite loss or gradient")
-            new_params = step(params, grad, state, setup.pipeline, schedule)
-        except (EvaluationError, ZeroGradientBlockError) as exc:
-            return stop(t, str(exc))
-        if not np.all(np.isfinite(new_params.values)):
-            return stop(t, "non-finite parameters")
-
-        update_l2 = float(np.linalg.norm(new_params.values - params.values))
-        grad_phi = float(np.linalg.norm(centralize(oracle_grad).values))
-        trace.append(
-            step=t,
-            lr=lr,
-            loss=loss,
-            grad_l2=oracle_grad.l2_norm(),
-            grad_phi=grad_phi,
-            update_l2=update_l2,
-            param_mean=new_params.global_mean(),
-            block_norms=new_params.block_norms().tolist(),
-        )
+                if not math.isfinite(loss) or not np.isfinite(grad.values).all():
+                    return stop(t, "non-finite loss or gradient")
+                new_params = step(params, grad, state, setup.pipeline, schedule)
+            except (EvaluationError, ZeroGradientBlockError) as exc:
+                return stop(t, str(exc))
+            if not np.isfinite(new_params.values).all():
+                return stop(t, "non-finite parameters")
+            # finite vectors can still have norms past the float range
+            logged = {
+                "grad_l2": oracle_grad.l2_norm(),
+                "grad_phi": norm(centralize(oracle_grad).values),
+                "update_l2": norm(new_params.values - params.values),
+                "param_mean": new_params.global_mean(),
+            }
+            block_norms = new_params.block_norms()
+        for name, value in logged.items():
+            if not math.isfinite(value):
+                return stop(t, f"non-finite {name} ({value})")
+        if not np.isfinite(block_norms).all():
+            bad = int(np.argmin(np.isfinite(block_norms)))
+            return stop(t, f"non-finite norm of block {params.partition.name(bad)!r} ({block_norms[bad]})")
+        trace.append(step=t, lr=lr, loss=loss, **logged, block_norms=block_norms.tolist())
         params = new_params
 
     return RunResult(trace, params, landscape)

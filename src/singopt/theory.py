@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocked import BlockedVector
+from .blocked import BlockedVector, norm
 from .landscapes import Landscape
-from .rng import Xoshiro256, derive_seed
+from .rng import Xoshiro256, derive_seed, normals_from_words, uniforms_from_words
 from .standardize import StandardizeConfig, ZeroGradientBlockError, centralize, sing_transform
 
 __all__ = [
@@ -39,6 +39,9 @@ __all__ = [
     "structured_phi_norm",
     "estimate_smoothness",
 ]
+
+# words drawn at once by estimate_smoothness: 256 KiB
+_SMOOTHNESS_RUN_WORDS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -159,7 +162,7 @@ def single_step_escape_check(
         if method == "gd":
             step_vec = g.values
         elif method == "ngd":
-            step_vec = g.values / np.linalg.norm(g.values)
+            step_vec = g.values / norm(g.values)
         else:
             try:
                 step_vec = sing_transform(g, exact).values
@@ -167,7 +170,7 @@ def single_step_escape_check(
                 usable[i] = False
                 continue
         new_x = x.values - eta * step_vec
-        escaped[i] = float(np.linalg.norm(new_x - x_star.values)) > r_hat
+        escaped[i] = norm(new_x - x_star.values) > r_hat
     return escaped, usable
 
 
@@ -249,12 +252,20 @@ def convergence_audit(trace, recipe: ConvergenceRecipe, mode: str = "l2") -> Aud
 
 def phi_pseudo_norm(v: BlockedVector) -> float:
     """sqrt(<v, centralized v>), which equals the L2 norm of the centralized part."""
-    return math.sqrt(max(0.0, v.dot(centralize(v))))
+    return _phi_pseudo_norm(v, centralize(v))
 
 
 def structured_phi_norm(v: BlockedVector) -> float:
     """Sum over blocks of the per-block centralized pseudo-norm."""
-    c = centralize(v)
+    return _structured_phi_norm(v, centralize(v))
+
+
+# the two norms above, of v and its centralized copy c, for callers that already hold c
+def _phi_pseudo_norm(v: BlockedVector, c: BlockedVector) -> float:
+    return math.sqrt(max(0.0, v.dot(c)))
+
+
+def _structured_phi_norm(v: BlockedVector, c: BlockedVector) -> float:
     return float(sum(math.sqrt(max(0.0, float(np.dot(v.values[sl], c.values[sl])))) for sl in v.partition.slices))
 
 
@@ -265,19 +276,30 @@ def estimate_smoothness(
     radius: float = 1.0,
     seed: int = 0,
 ) -> float:
-    """Empirical lower bound on L: max gradient difference quotient over pairs."""
+    """Empirical lower bound on L: max gradient difference quotient over pairs.
+
+    Each pair draws ``normals(p)`` for dx and for dy, then one uniform for
+    each.  Runs of pairs draw their words at once, at most
+    ``_SMOOTHNESS_RUN_WORDS`` a run unless one pair needs more, so long
+    runs go through the lanes and the stream is the per-pair one.
+    """
     gen = Xoshiro256(derive_seed(seed, 0x5E00))
     p = x0.partition.p
+    pair_words = 24 * p + 2
+    run = max(1, _SMOOTHNESS_RUN_WORDS // pair_words)
     best = 0.0
-    for _ in range(n_pairs):
-        dx = gen.normals(p)
-        dy = gen.normals(p)
-        x = BlockedVector(x0.values + radius * dx / np.linalg.norm(dx) * gen.uniform(), x0.partition)
-        y = BlockedVector(x0.values + radius * dy / np.linalg.norm(dy) * gen.uniform(), x0.partition)
-        dist = float(np.linalg.norm(x.values - y.values))
-        if dist == 0.0:
-            continue
-        _, gx = landscape.evaluate(x)
-        _, gy = landscape.evaluate(y)
-        best = max(best, float(np.linalg.norm(gx.values - gy.values)) / dist)
+    for start in range(0, n_pairs, run):
+        pairs = min(run, n_pairs - start)
+        words = gen._word_array(pairs * pair_words).reshape(pairs, pair_words)
+        directions = normals_from_words(words[:, : 24 * p]).reshape(pairs, 2, p)
+        scales = uniforms_from_words(words[:, 24 * p :])
+        for (dx, dy), (ux, uy) in zip(directions, scales):
+            x = BlockedVector(x0.values + radius * dx / norm(dx) * ux, x0.partition)
+            y = BlockedVector(x0.values + radius * dy / norm(dy) * uy, x0.partition)
+            dist = norm(x.values - y.values)
+            if dist == 0.0:
+                continue
+            _, gx = landscape.evaluate(x)
+            _, gy = landscape.evaluate(y)
+            best = max(best, norm(gx.values - gy.values) / dist)
     return best

@@ -29,13 +29,13 @@ from .runner import EpochBatcher, build_task, run_experiment, run_setup
 from .standardize import StandardizeConfig
 from .theory import (
     ConvergenceRecipe,
+    _phi_pseudo_norm,
+    _structured_phi_norm,
     convergence_audit,
     escape_thresholds,
     estimate_smoothness,
     interior_grid_1d,
-    phi_pseudo_norm,
     single_step_escape_check,
-    structured_phi_norm,
 )
 from .trace import RunTrace
 
@@ -108,7 +108,9 @@ def check_lemmas(seed: int = 0, count: int = 300) -> list[CheckRecord]:
         g = random_blocked(rng)
         d = g.partition.D
         # g is not written to until the round-trip below, so each norm is taken once
-        n_g, l2, phi = g.structured_norm(), g.l2_norm(), phi_pseudo_norm(g)
+        # and one centralized copy serves every phi norm and the residual
+        cent = standardize.centralize(g)
+        n_g, l2, phi = g.structured_norm(), g.l2_norm(), _phi_pseudo_norm(g, cent)
 
         out = standardize.sing_transform(g, _NORM_ONLY)
         worst_sqrt_d = max(worst_sqrt_d, abs(out.l2_norm() - math.sqrt(d)) / math.sqrt(d))
@@ -116,7 +118,7 @@ def check_lemmas(seed: int = 0, count: int = 300) -> list[CheckRecord]:
 
         out_gc = standardize.sing_transform(g, _EXACT)
         worst_sqrt_d_gc = max(worst_sqrt_d_gc, abs(out_gc.l2_norm() - math.sqrt(d)) / math.sqrt(d))
-        n_phi = structured_phi_norm(g)
+        n_phi = _structured_phi_norm(g, cent)
         if n_phi > 0:
             worst_inner_gc = max(worst_inner_gc, abs(g.dot(out_gc) - n_phi) / n_phi)
 
@@ -126,7 +128,6 @@ def check_lemmas(seed: int = 0, count: int = 300) -> list[CheckRecord]:
         block_sum = sum(g.block_l2_norm(k) for k in range(d))
         worst_additivity = max(worst_additivity, abs(n_g - block_sum) / max(block_sum, 1e-300))
 
-        cent = standardize.centralize(g)
         resid = BlockedVector(g.values - cent.values, g.partition)
         pyth = abs(phi**2 + resid.l2_norm() ** 2 - l2**2)
         worst_pythagoras = max(worst_pythagoras, pyth / l2**2)

@@ -1,6 +1,10 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -292,6 +296,41 @@ def test_run_divergence_exit_code_and_footer(tmp_path):
     assert back.steps == back.diverged_at  # partial trace was flushed
 
 
+def test_run_stops_when_a_logged_norm_overflows(tmp_path, capsys):
+    # finite parameters and gradients whose L2 norm is past the float range
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("task.kind = quadratic\ntask.smoothness = 1e300\ntask.f0 = 1e300\nschedule.total_steps = 5\n")
+    out = tmp_path / "big.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "diverged at step 0: non-finite grad_l2 (inf)" in capsys.readouterr().err
+    back = RunTrace.read(out)
+    assert back.diverged_at == 0 and back.steps == 0
+    assert out.read_text().splitlines()[-1] == "# diverged step=0"
+
+
+def test_run_names_the_block_whose_norm_overflows():
+    from singopt.blocked import BlockedVector, BlockPartition
+    from singopt.landscapes import Landscape
+    from singopt.runner import run_experiment
+
+    class Tilted(Landscape):
+        partition = BlockPartition.of([("w", (3,)), ("v", (2,))])
+
+        def evaluate(self, x):
+            return self._checked(x, 0.0, np.full(5, 1e-3))
+
+    # gradient, update and mean stay finite; only the norm of the huge block w overflows
+    x0 = BlockedVector(np.array([1e200, 1e200, 1e200, 1.0, 1.0]), Tilted.partition)
+    setup = parse_config("optimizer.kind = sgd\nschedule.total_steps = 3\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_experiment(Tilted(), x0, setup)
+    assert result.cause == "non-finite norm of block 'w' (inf)"
+    assert result.trace.diverged_at == 0 and result.trace.steps == 0
+
+
 PATH_ERRORS = {
     "run-out-in-missing-dir": ["run", "--config", "{cfg}", "--out", "{tmp}/missing/o.csv"],
     "run-config-is-a-dir": ["run", "--config", "{tmp}", "--out", "{tmp}/o.csv"],
@@ -390,9 +429,10 @@ def test_check_all_detects_broken_gamma(tmp_path, monkeypatch):
 
 
 # sha256 of the ``check all`` report, recorded with numpy 2.4 on x86-64
-# (OpenBLAS at 1 and 2 threads gave the same bytes).  A faster oracle or
-# suite must not move a byte of it; a different numpy or BLAS build may
-# round differently and would need them recorded again.
+# (OpenBLAS at 1 and 2 threads gives the same bytes, which a test below
+# checks).  A faster oracle or suite must not move a byte of it; a
+# different numpy or BLAS build may round differently and would need them
+# recorded again.
 CHECK_ALL_SHA256 = {
     0: "ae40cfa9447511d2700e8e37b803ee06100777ee790b7ee76788edfbb2b83581",
     12: "1296322cf5150bf4d8a21f30d8914b5f8fa2659987f57a8191182a5f79cffd3e",
@@ -420,6 +460,20 @@ def test_check_all_seed_12_fails_only_its_known_record(tmp_path, capsys):
     assert [rec["check"] for rec in checks if not rec["pass"]] == ["invariance.rescale_with_epsilon"]
     assert hashlib.sha256(report.read_bytes()).hexdigest() == CHECK_ALL_SHA256[12]
     assert "41/42 checks passed in suite 'all'" in capsys.readouterr().err
+
+
+def test_check_all_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    reports = {}
+    for threads in ("1", "2"):
+        report = tmp_path / f"threads{threads}.jsonl"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "singopt", "check", "all", "--seed", "0", "--report", str(report)]
+        subprocess.run(argv, env=env, capture_output=True, check=True)
+        reports[threads] = report.read_bytes()
+    assert reports["1"] == reports["2"]
+    assert hashlib.sha256(reports["1"]).hexdigest() == CHECK_ALL_SHA256[0]
 
 
 def test_check_manifest_covers_every_suite(tmp_path):

@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from singopt import theory
 from singopt.blocked import BlockPartition, BlockedVector
-from singopt.landscapes import GaussianWells1D, Landscape, Quadratic, Well
+from singopt.landscapes import GaussianWells1D, Landscape, MlpTask, Quadratic, Well, make_blobs
+from singopt.rng import Xoshiro256, derive_seed
 from singopt.standardize import centralize
 from singopt.theory import (
     ConvergenceRecipe,
     convergence_audit,
     escape_thresholds,
     estimate_basin_radius,
+    estimate_smoothness,
     interior_grid_1d,
     phi_pseudo_norm,
     single_step_escape_check,
@@ -252,3 +255,62 @@ def test_structured_phi_norm_sums_blocks():
             alone = BlockedVector(block.ravel().copy(), BlockPartition.of([(v.partition.name(k), block.shape)]))
             total += math.sqrt(max(0.0, float(np.dot(alone.values, centralize(alone).values))))
         assert structured_phi_norm(v) == pytest.approx(total, rel=1e-15)
+
+
+# -- smoothness estimate ----------------------------------------------------------
+
+
+def _per_pair_smoothness(landscape, x0, n_pairs, radius, seed):
+    """estimate_smoothness as it was before its draws were batched, plus the state it leaves."""
+    gen = Xoshiro256(derive_seed(seed, 0x5E00))
+    p = x0.partition.p
+    best = 0.0
+    for _ in range(n_pairs):
+        dx = gen.normals(p)
+        dy = gen.normals(p)
+        x = BlockedVector(x0.values + radius * dx / np.linalg.norm(dx) * gen.uniform(), x0.partition)
+        y = BlockedVector(x0.values + radius * dy / np.linalg.norm(dy) * gen.uniform(), x0.partition)
+        dist = float(np.linalg.norm(x.values - y.values))
+        if dist == 0.0:
+            continue
+        _, gx = landscape.evaluate(x)
+        _, gy = landscape.evaluate(y)
+        best = max(best, float(np.linalg.norm(gx.values - gy.values)) / dist)
+    return best, gen.s
+
+
+def _mlp(hidden):
+    task = MlpTask(make_blobs(seed=3, n=40, classes=3, dim=2, spread=0.3), hidden=hidden, init_seed=3)
+    return task, task.initial_params()
+
+
+def _wells():
+    wells = GaussianWells1D.default()
+    return wells, wells.as_point(0.3)
+
+
+@pytest.mark.parametrize(
+    "make, n_pairs",
+    [
+        (_wells, 7),  # p = 1: 26 words a pair, 182 in all, the scalar loop
+        (_wells, 1300),  # runs of 1260 pairs and 40 pairs
+        (lambda: _mlp(8), 60),  # p = 51: runs of 26, 26 and 8 pairs
+        (lambda: _mlp(240), 3),  # p = 1443: one pair is more than a run's words
+    ],
+    ids=["p1-scalar", "p1-runs", "p51", "p1443"],
+)
+def test_batched_smoothness_draws_equal_the_per_pair_loop(monkeypatch, make, n_pairs):
+    made = []
+
+    class Recorded(Xoshiro256):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    landscape, x0 = make()
+    expected, state = _per_pair_smoothness(landscape, x0, n_pairs, 0.5, 7)
+    monkeypatch.setattr(theory, "Xoshiro256", Recorded)
+    got = estimate_smoothness(landscape, x0, n_pairs=n_pairs, radius=0.5, seed=7)
+    assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+    assert expected > 0.0
+    assert [gen.s for gen in made] == [state]
