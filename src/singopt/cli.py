@@ -111,6 +111,17 @@ def _cmd_plot(args) -> int:
     return EXIT_OK
 
 
+def _check_seed(text: str) -> int:
+    """A ``check --seed``: the suites seed numpy generators, which take no negative seed."""
+    try:
+        seed = int(text)
+        if seed >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="singopt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -124,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     check_p = sub.add_parser("check", help="run a verification suite")
     check_p.add_argument("suite", choices=sorted(MANIFEST) + ["all"])
     check_p.add_argument("--report", default=None)
-    check_p.add_argument("--seed", type=int, default=0)
+    check_p.add_argument("--seed", type=_check_seed, default=0)
     check_p.set_defaults(func=_cmd_check)
 
     demo_p = sub.add_parser("escape-demo", help="narrow-well escape comparison")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocked import BlockedVector, BlockPartition
+from .blocked import BlockedVector, BlockPartition, norm
 from .rng import Xoshiro256, derive_seed
 
 __all__ = [
@@ -67,7 +67,7 @@ class Landscape:
     def _checked(self, x: BlockedVector, value: float, grad: np.ndarray) -> tuple[float, BlockedVector]:
         if not math.isfinite(value) or not np.isfinite(grad).all():
             raise EvaluationError(
-                f"{type(self).__name__} produced non-finite output at ||x||={np.linalg.norm(x.values):.3g}"
+                f"{type(self).__name__} produced non-finite output at ||x||={norm(x.values):.3g}"
             )
         return float(value), BlockedVector(grad, self.partition)
 
@@ -146,11 +146,15 @@ class GaussianWells1D(Landscape):
     # -- scalar API ----------------------------------------------------------
 
     def value(self, x) -> np.ndarray | float:
+        return self._raw(x) + self.offset
+
+    def _raw(self, x) -> np.ndarray | float:
+        """F(x) without the offset."""
         x = np.asarray(x, dtype=np.float64)
         acc = self.curvature * x * x
         for w in self.wells:
             acc = acc - w.depth * np.exp(-((x - w.center) ** 2) / (2.0 * w.width**2))
-        return acc + self.offset
+        return acc
 
     def slope(self, x) -> np.ndarray | float:
         x = np.asarray(x, dtype=np.float64)
@@ -164,17 +168,12 @@ class GaussianWells1D(Landscape):
     def _raw_min(self) -> float:
         lo, hi, n = self.SCAN
         xs = np.linspace(lo, hi, n)
-        raw = self.curvature * xs * xs
-        for w in self.wells:
-            raw = raw - w.depth * np.exp(-((xs - w.center) ** 2) / (2.0 * w.width**2))
-        best = int(np.argmin(raw))
+        best = int(np.argmin(self._raw(xs)))
         # golden-section polish around the best grid point
         a, b = xs[max(best - 1, 0)], xs[min(best + 1, n - 1)]
         phi = (np.sqrt(5.0) - 1.0) / 2.0
         c, d = b - phi * (b - a), a + phi * (b - a)
-        f = lambda t: self.curvature * t * t - sum(
-            w.depth * np.exp(-((t - w.center) ** 2) / (2.0 * w.width**2)) for w in self.wells
-        )
+        f = self._raw
         for _ in range(120):
             if f(c) < f(d):
                 b, d = d, c
@@ -280,13 +279,10 @@ class MlpTask(Landscape):
     One forward pass, :meth:`_forward`, serves every caller: ``evaluate``
     and ``minibatch`` run it on one point and follow it with the
     backward pass, ``losses`` runs it on a stack of points, and
-    ``accuracy`` reads its logits.  ``evaluate`` and ``minibatch`` keep
-    one set of scratch arrays per batch size between calls, so one task
-    must not be evaluated from two threads at once; ``losses`` and
-    ``accuracy`` never touch them.  Returned gradients are fresh vectors
-    and never alias those arrays.  The task also keeps a one-hot float
-    copy of its labels (n x classes), built at construction; a minibatch
-    gathers its rows.
+    ``accuracy`` reads its logits.  Every pass allocates its own arrays,
+    so evaluation writes nothing onto the task.  The task keeps a one-hot
+    float copy of its labels (n x classes), built at construction; a
+    minibatch gathers its rows.
     """
 
     def __init__(
@@ -314,7 +310,6 @@ class MlpTask(Landscape):
         # block name -> flat slice, in partition order
         self._slices = dict(zip(self.partition.names, self.partition.slices))
         self._onehot = np.eye(classes)[dataset.labels]
-        self._scratch: dict[int, tuple] = {}
 
     def initial_params(self) -> BlockedVector:
         """Deterministic init: weights ~ normal / sqrt(fan_in), biases zero."""
@@ -343,46 +338,31 @@ class MlpTask(Landscape):
             return w1, values[..., None, s["b1"]], w2, values[..., None, s["b2"]]
         return w1, 0.0, w2, 0.0
 
-    def _buffers(self, batch: int) -> tuple:
-        """Scratch arrays gh (batch x hidden) and the forward pass's (h, z2, e, zmax).
-
-        One set per batch size, built on first use and kept; every call
-        overwrites the arrays it uses before reading them.
-        """
-        buffers = self._scratch.get(batch)
-        if buffers is None:
-            rows, cols = (batch, self.hidden), (batch, self._classes)
-            forward = (np.empty(rows), np.empty(cols), np.empty(cols), np.empty(batch))
-            buffers = self._scratch[batch] = (np.empty(rows), forward)
-        return buffers
-
-    def _forward(self, params, xb: np.ndarray, yb: np.ndarray, out=(None, None, None, None)):
+    def _forward(self, params, xb: np.ndarray, yb: np.ndarray):
         """The scaled loss, hidden activations h, logits z2, e = exp(z2 - row max) and e's row sums.
 
         ``params`` is what :meth:`_unpack` returns, for one point or a
         stack of them; a stack gives one loss per point and a leading axis
-        on every array.  ``out`` is (h, z2, e, zmax) arrays to write into,
-        or None for each array to allocate.  A stacked ``matmul`` makes
-        the same BLAS call per point as the 2-D one, and every reduction
-        runs along a contiguous last axis, so a point's loss has the same
-        bits alone or in a stack.
+        on every array.  Every array is fresh, so the caller may overwrite
+        it.  A stacked ``matmul`` makes the same BLAS call per point as
+        the 2-D one, and every reduction runs along a contiguous last
+        axis, so a point's loss has the same bits alone or in a stack.
         """
         w1, b1, w2, b2 = params
-        h, z2, e, zmax = out
-        h = np.matmul(xb, w1.swapaxes(-1, -2), out=h)
+        h = xb @ w1.swapaxes(-1, -2)
         h += b1
         np.tanh(h, out=h)
-        z2 = np.matmul(h, w2.swapaxes(-1, -2), out=z2)
+        z2 = h @ w2.swapaxes(-1, -2)
         z2 += b2
 
         # Row max, one class column at a time: a max returns one of its
         # inputs (NaN propagates), so this equals z2.max(axis=-1) up to the
         # sign of a zero, which neither exp(z2 - zmax) nor log(total) + zmax
         # can see.  ``1 % classes`` keeps a one-class task valid.
-        zmax = np.maximum(z2[..., 0], z2[..., 1 % self._classes], out=zmax)
+        zmax = np.maximum(z2[..., 0], z2[..., 1 % self._classes])
         for c in range(2, self._classes):
             np.maximum(zmax, z2[..., c], out=zmax)
-        e = np.subtract(z2, zmax[..., None], out=e)
+        e = z2 - zmax[..., None]
         np.exp(e, out=e)
         total = e.sum(axis=-1)
         logsumexp = np.log(total) + zmax
@@ -398,8 +378,7 @@ class MlpTask(Landscape):
     ) -> tuple[float, np.ndarray]:
         params = self._unpack(x)
         batch = xb.shape[0]
-        gh, out = self._buffers(batch)
-        loss, h, _, e, total = self._forward(params, xb, yb, out)
+        loss, h, _, e, total = self._forward(params, xb, yb)
 
         # e becomes the softmax probabilities, then the gradient wrt z2;
         # subtracting the one-hot 0.0 leaves every other entry as it is
@@ -409,7 +388,7 @@ class MlpTask(Landscape):
 
         gw2 = e.T @ h
         gb2 = e.sum(axis=0)
-        np.matmul(e, params[2], out=gh)
+        gh = e @ params[2]
         np.multiply(h, h, out=h)
         np.subtract(1.0, h, out=h)  # h is now tanh' = 1 - h*h
         gh *= h
@@ -440,9 +419,8 @@ class MlpTask(Landscape):
     def losses(self, points: np.ndarray) -> np.ndarray:
         """Full-batch loss at each row of ``points``, bit for bit as ``evaluate``.
 
-        One stacked :meth:`_forward` per chunk of rows, into fresh arrays;
-        chunks keep the hidden activations under ``_LOSSES_CHUNK_ELEMENTS``
-        elements.
+        One stacked :meth:`_forward` per chunk of rows; chunks keep the
+        hidden activations under ``_LOSSES_CHUNK_ELEMENTS`` elements.
         """
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or points.shape[1] != self.partition.p:

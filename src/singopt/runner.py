@@ -111,7 +111,7 @@ def build_task(setup: RunSetup) -> tuple[Landscape, BlockedVector, EpochBatcher 
     try:
         if kind == "wells1d":
             landscape = GaussianWells1D.default()
-            return landscape, landscape.as_point(task["start"][0]), None
+            return landscape, BlockedVector(_parse_start(task["start"], 1), landscape.partition), None
         if kind == "rosenbrock":
             landscape = Rosenbrock()
             x0 = BlockedVector(_parse_start(task["start"], 2), landscape.partition)

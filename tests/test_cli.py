@@ -184,6 +184,7 @@ BAD_RUNS = [
     ("task.kind = mlp\ntask.n = 1000000000000", 2, "error: task.n: "),
     ("task.kind = mlp\ntask.n = 1048577\ntask.hidden = 16", 2, "error: task.n: "),
     ("task.kind = quadratic\ntask.smoothness = -1", 2, "smoothness"),
+    ("task.kind = wells1d\ntask.start = 1.0,2.0,3.0", 2, "error: task.start has 3 values, task needs 1"),
     ("task.kind = wells1d\nsing.epsilon = -1", 2, "epsilon"),
     # a zero gradient block cannot be normalized at epsilon = 0: divergence
     ("task.kind = quadratic\ntask.f0 = 0\nsing.epsilon = 0", 3, "zero-norm gradient block 'b0'"),
@@ -408,6 +409,17 @@ def test_crashed_suite_is_one_failed_record(tmp_path, monkeypatch):
         + '{"check": "escape.suite_crashed", "lhs": 1.0, "params": {"error": "ValueError: boom"},'
         ' "pass": false, "rhs": 0.0}\n'
     )
+
+
+def test_check_negative_seed_exits_2_naming_the_flag(tmp_path, wells_cfg, capsys):
+    report = tmp_path / "r.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "lemmas", "--seed", "-1", "--report", str(report)])
+    assert exc.value.code == 2
+    assert "argument --seed: expected a non-negative integer, got '-1'" in capsys.readouterr().err
+    assert not report.exists()
+    # a run's seed is any integer
+    assert main(["run", "--config", str(wells_cfg), "--out", str(tmp_path / "t.csv"), "--seed", "-1"]) == 0
 
 
 def test_check_unknown_suite_exits_2():

@@ -63,6 +63,12 @@ def test_wells_offset_makes_min_nonnegative():
     assert values.min() < 1e-6  # the offset is tight, not just large
 
 
+def test_wells_default_offset_is_pinned():
+    # the grid scan and the golden-section polish give this offset; the
+    # escape-demo traces and every wells1d trace depend on its bits
+    assert GaussianWells1D.default().offset == 1.8774524267312875
+
+
 def test_wells_default_has_three_minima():
     land = GaussianWells1D.default()
     minima = land.local_minima()
@@ -398,6 +404,9 @@ def test_oracle_bit_identical_to_reference(n, classes, hidden, dim, with_bias, l
 
 
 def test_oracle_gradients_do_not_alias_scratch_arrays():
+    # every result is an array of its own: later evaluations, minibatches,
+    # losses and accuracy leave earlier results as they were, and give a
+    # fresh task's bits
     task = small_mlp(n=200)
     x1 = task.initial_params()
     x2 = BlockedVector(2.0 * x1.values + 0.5, task.partition)
@@ -405,40 +414,60 @@ def test_oracle_gradients_do_not_alias_scratch_arrays():
     fresh = small_mlp(n=200)
     losses_want, accuracy_want = fresh.losses(points).tobytes(), fresh.accuracy(x2)
 
-    def scratch_bytes(item=task._scratch):
-        # the bytes of every kept scratch array, however the per-batch sets nest
-        if isinstance(item, np.ndarray):
-            return [item.tobytes()]
-        return [b for sub in (item.values() if isinstance(item, dict) else item) for b in scratch_bytes(sub)]
-
-    def losses_and_accuracy_leave_scratch_alone():
-        # ``losses`` and ``accuracy`` share the forward pass but allocate
-        # their own arrays: the kept scratch arrays keep every bit
-        scratch = scratch_bytes()
+    def losses_and_accuracy_match_a_fresh_task():
         assert task.losses(points).tobytes() == losses_want
         assert task.accuracy(x2) == accuracy_want
-        assert scratch_bytes() == scratch
 
     loss1, g1 = task.evaluate(x1)
     kept = g1.values.copy()
     task.evaluate(x2)
-    losses_and_accuracy_leave_scratch_alone()
+    losses_and_accuracy_match_a_fresh_task()
     task.minibatch(x2, np.arange(200))
     task.minibatch(x2, np.arange(7))
     assert np.array_equal(g1.values, kept)
     again = task.evaluate(x1)
     assert again[0] == loss1
     assert np.array_equal(again[1].values, kept)
-    # kept minibatch scratch arrays give a fresh task's bits, before and after a full batch
+    # a minibatch gives a fresh task's bits, before and after a full batch
     idx = np.arange(128) * 3 % 200
     loss_want, g_want = small_mlp(n=200).minibatch(x2, idx)
     first = task.minibatch(x2, idx)
-    losses_and_accuracy_leave_scratch_alone()
+    losses_and_accuracy_match_a_fresh_task()
     task.evaluate(x1)
     second = task.minibatch(x2, idx)
     for loss, g in (first, second):
         assert loss == loss_want
         assert g.values.tobytes() == g_want.values.tobytes()
+
+
+def _task_state(task):
+    """Every attribute of ``task``; arrays, the dataset's too, by dtype, shape and bytes."""
+
+    def frozen(value):
+        if isinstance(value, np.ndarray):
+            return value.dtype.str, value.shape, value.tobytes()
+        if isinstance(value, BlobsDataset):
+            return tuple(frozen(getattr(value, name)) for name in ("seed", "xs", "labels", "spread"))
+        if isinstance(value, dict):
+            return {key: frozen(item) for key, item in value.items()}
+        return value
+
+    return {key: frozen(value) for key, value in vars(task).items()}
+
+
+def test_evaluation_leaves_the_task_as_it_was():
+    task = small_mlp(n=60)
+    before = _task_state(task)
+    x = task.initial_params()
+    task.evaluate(x)
+    for batch in range(1, 61):
+        task.minibatch(x, np.arange(batch))
+    task.losses(np.vstack([x.values, 0.5 * x.values]))
+    task.accuracy(x)
+    task.gradient_noise(x)
+    after = _task_state(task)
+    assert after.keys() == before.keys()
+    assert after == before
 
 
 # -- stacked losses and the batched finite-difference oracle ------------------------
