@@ -1,7 +1,9 @@
 """Plain key-value run configuration files.
 
 Format: one ``key = value`` pair per line; blank lines and lines starting
-with ``#`` are ignored (a ``#`` after a value is part of the value).
+with ``#`` are ignored (a ``#`` after a value is part of the value).  A
+key set on two lines is a :class:`ConfigError` naming both lines;
+overrides replace file values.
 :data:`SCHEMA` lists every key once.  Every key is checked when the file
 is read: a value that does not parse, or is not finite, is a
 :class:`ConfigError` naming its line, and so is a ``task.*`` value out
@@ -152,6 +154,8 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunSetup
         key, value = key.strip(), value.strip()
         if key not in SCHEMA:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in lineno_of:
+            raise ConfigError(f"line {lineno}: {key} is already set on line {lineno_of[key]}")
         values[key] = value
         lineno_of[key] = lineno
     for key, value in (overrides or {}).items():

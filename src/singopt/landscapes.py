@@ -121,9 +121,10 @@ class GaussianWells1D(Landscape):
 
         F(x) = c*x^2 - sum_i a_i * exp(-(x - mu_i)^2 / (2 s_i^2)) + offset
 
-    The offset is computed numerically at construction so that min F >= 0.
-    The default instance has two narrow wells and one wide well whose
-    bottom is the global minimum.
+    Construction finds the local minima once, bisecting each - to + slope
+    sign change on the ``SCAN`` grid; the offset is minus the lowest F over
+    them and the scan ends.  The default instance has two narrow wells and
+    one wide well whose bottom is the global minimum.
     """
 
     SCAN = (-12.0, 12.0, 120001)
@@ -134,7 +135,23 @@ class GaussianWells1D(Landscape):
         self.partition = BlockPartition.of([("x", (1,))])
         self.curvature = curvature
         self.wells = tuple(wells)
-        self.offset = -self._raw_min()
+        lo, hi, n = self.SCAN
+        xs = np.linspace(lo, hi, n)
+        sl = self.slope(xs)
+        self._minima = []
+        for i in np.flatnonzero((sl[:-1] < 0.0) & (sl[1:] >= 0.0)):
+            a, b = xs[i], xs[i + 1]
+            # stop at a fixed point (midpoint equal to an end), or after 200 halvings near 0
+            for _ in range(200):
+                mid = 0.5 * (a + b)
+                if mid == a or mid == b:
+                    break
+                if self.slope(mid) < 0.0:
+                    a = mid
+                else:
+                    b = mid
+            self._minima.append(0.5 * (a + b))
+        self.offset = -float(self._raw(np.array([lo, *self._minima, hi])).min())
 
     @classmethod
     def default(cls) -> "GaussianWells1D":
@@ -165,24 +182,6 @@ class GaussianWells1D(Landscape):
             )
         return acc
 
-    def _raw_min(self) -> float:
-        lo, hi, n = self.SCAN
-        xs = np.linspace(lo, hi, n)
-        best = int(np.argmin(self._raw(xs)))
-        # golden-section polish around the best grid point
-        a, b = xs[max(best - 1, 0)], xs[min(best + 1, n - 1)]
-        phi = (np.sqrt(5.0) - 1.0) / 2.0
-        c, d = b - phi * (b - a), a + phi * (b - a)
-        f = self._raw
-        for _ in range(120):
-            if f(c) < f(d):
-                b, d = d, c
-                c = b - phi * (b - a)
-            else:
-                a, c = c, d
-                d = a + phi * (b - a)
-        return float(min(f(a), f(b), f(c), f(d)))
-
     def evaluate(self, x: BlockedVector) -> tuple[float, BlockedVector]:
         if x.partition != self.partition:
             raise ValueError("partition mismatch")
@@ -190,22 +189,8 @@ class GaussianWells1D(Landscape):
         return self._checked(x, float(self.value(t)), np.array([float(self.slope(t))]))
 
     def local_minima(self) -> list[float]:
-        """Critical points with slope sign change - to +, located by bisection."""
-        lo, hi, n = self.SCAN
-        xs = np.linspace(lo, hi, n)
-        sl = self.slope(xs)
-        minima = []
-        for i in range(n - 1):
-            if sl[i] < 0.0 <= sl[i + 1]:
-                a, b = xs[i], xs[i + 1]
-                for _ in range(200):
-                    mid = 0.5 * (a + b)
-                    if self.slope(mid) < 0.0:
-                        a = mid
-                    else:
-                        b = mid
-                minima.append(0.5 * (a + b))
-        return minima
+        """The slope's - to + crossings on the scan, bisected once at construction; a fresh list."""
+        return list(self._minima)
 
     def as_point(self, t: float) -> BlockedVector:
         return BlockedVector(np.array([t]), self.partition)

@@ -202,4 +202,6 @@ def run_experiment(
 
 def run_setup(setup: RunSetup) -> RunResult:
     landscape, x0, batcher = build_task(setup)
+    if unknown := sorted(setup.pipeline.weight_decay_skip.difference(landscape.partition.names)):
+        raise ConfigError(f"weight_decay_skip: the task has no block {', '.join(map(repr, unknown))}")
     return run_experiment(landscape, x0, setup, batcher)

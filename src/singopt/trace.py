@@ -3,7 +3,8 @@
 The on-disk format is a ``#``-prefixed header block (config snapshot,
 block manifest, seed), a CSV column row, then one row per step.  Floats
 are written with ``repr`` (shortest round-trip form) so a given run
-always produces byte-identical files.
+always produces byte-identical files.  A header that reads two ways
+(config line without ``=``, config key or seed set twice) does not load.
 """
 
 from __future__ import annotations
@@ -125,11 +126,17 @@ class RunTrace:
             if line.startswith("#"):
                 body = line[1:].strip()
                 if body.startswith("config "):
-                    key, _, value = body[len("config "):].partition("=")
-                    config[key.strip()] = value.strip()
+                    key, eq, value = (part.strip() for part in body[len("config "):].partition("="))
+                    if not eq:
+                        raise TraceFormatError(f"line {lineno}: config line has no '='")
+                    if key in config:
+                        raise TraceFormatError(f"line {lineno}: config {key} is set twice")
+                    config[key] = value
                 elif body.startswith("block "):
                     manifest_lines.append(body[len("block "):])
                 elif body.startswith("seed "):
+                    if seed is not None:
+                        raise TraceFormatError(f"line {lineno}: seed is set twice")
                     seed = _header_int(body[len("seed "):], lineno)
                 elif body.startswith("diverged step="):
                     diverged_at = _header_int(body[len("diverged step="):], lineno)

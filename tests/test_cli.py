@@ -131,6 +131,29 @@ def test_trace_rejects_garbage():
         RunTrace.loads("# block x q\n# seed 0\n" + columns)
 
 
+TWO_WAY_HEADERS = [
+    # (header lines, what the error must name): dumps writes none of these
+    ("# config seed 0\n# block x 1\n# seed 0\n", "line 1: config line has no '='"),
+    (
+        "# config seed = 0\n# config task.kind = wells1d\n# config seed = 1\n# block x 1\n# seed 0\n",
+        "line 3: config seed is set twice",
+    ),
+    ("# block x 1\n# seed 0\n# seed 1\n", "line 3: seed is set twice"),
+]
+
+
+@pytest.mark.parametrize("header, named", TWO_WAY_HEADERS, ids=["no-equals", "config-twice", "seed-twice"])
+def test_trace_header_that_reads_two_ways_is_refused(tmp_path, capsys, header, named):
+    columns = "step,lr,loss,grad_l2,grad_phi,update_l2,param_mean,bnorm_x\n"
+    text = header + columns + "0,1,2,3,4,5,6,7\n"
+    with pytest.raises(TraceFormatError, match=named):
+        RunTrace.loads(text)
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    assert main(["plot", "--trace", str(path), "--out", str(tmp_path / "x.svg")]) == 2
+    assert named in capsys.readouterr().err
+
+
 # -- run command ---------------------------------------------------------------------
 
 def test_run_twice_byte_identical(tmp_path, wells_cfg, capsys):
@@ -150,6 +173,18 @@ def test_run_seed_override_changes_mlp_trace(tmp_path):
     assert main(["run", "--config", str(cfg), "--out", str(a), "--seed", "1"]) == 0
     assert main(["run", "--config", str(cfg), "--out", str(b), "--seed", "2"]) == 0
     assert a.read_bytes() != b.read_bytes()
+
+
+def test_config_key_set_twice_names_both_lines(tmp_path, capsys):
+    text = "task.kind = mlp\ntask.n = 60\nseed = 1\ntask.n = 90\n"
+    with pytest.raises(ConfigError, match="^line 4: task.n is already set on line 2$"):
+        parse_config(text)
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text(text)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+    assert "line 4: task.n is already set on line 2" in capsys.readouterr().err
+    # an override still replaces the value a file line set
+    assert parse_config("seed = 1\n", overrides={"seed": "5"}).seed == 5
 
 
 def test_run_zero_steps_is_usage_error(tmp_path):
@@ -186,6 +221,9 @@ BAD_RUNS = [
     ("task.kind = quadratic\ntask.smoothness = -1", 2, "smoothness"),
     ("task.kind = wells1d\ntask.start = 1.0,2.0,3.0", 2, "error: task.start has 3 values, task needs 1"),
     ("task.kind = wells1d\nsing.epsilon = -1", 2, "epsilon"),
+    # weight_decay_skip names blocks of the built task (the MLP's are W1, b1, W2, b2)
+    ("task.kind = mlp\nweight_decay_skip = b1,b3", 2, "error: weight_decay_skip: the task has no block 'b3'"),
+    ("task.kind = wells1d\nweight_decay_skip = W1", 2, "error: weight_decay_skip: the task has no block 'W1'"),
     # a zero gradient block cannot be normalized at epsilon = 0: divergence
     ("task.kind = quadratic\ntask.f0 = 0\nsing.epsilon = 0", 3, "zero-norm gradient block 'b0'"),
 ]

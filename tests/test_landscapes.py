@@ -64,7 +64,7 @@ def test_wells_offset_makes_min_nonnegative():
 
 
 def test_wells_default_offset_is_pinned():
-    # the grid scan and the golden-section polish give this offset; the
+    # minus the lowest F over the bisected minima and the scan ends; the
     # escape-demo traces and every wells1d trace depend on its bits
     assert GaussianWells1D.default().offset == 1.8774524267312875
 
@@ -79,6 +79,90 @@ def test_wells_default_has_three_minima():
     assert minima[0] == pytest.approx(-4.0, abs=0.05)
     assert minima[1] == pytest.approx(-1.5, abs=0.05)
     assert minima[2] == pytest.approx(2.5, abs=0.1)
+
+
+def _scan_and_bisect_minima(land):
+    """Reference minima: a Python scan for slope sign changes, then 200 bisection steps each."""
+    lo, hi, n = land.SCAN
+    xs = np.linspace(lo, hi, n)
+    sl = land.slope(xs)
+    minima = []
+    for i in range(n - 1):
+        if sl[i] < 0.0 <= sl[i + 1]:
+            a, b = xs[i], xs[i + 1]
+            for _ in range(200):
+                mid = 0.5 * (a + b)
+                if land.slope(mid) < 0.0:
+                    a = mid
+                else:
+                    b = mid
+            minima.append(0.5 * (a + b))
+    return minima
+
+
+def _golden_section_raw_min(land):
+    """Reference lowest F: the grid argmin, polished by golden-section search."""
+    lo, hi, n = land.SCAN
+    xs = np.linspace(lo, hi, n)
+    best = int(np.argmin(land._raw(xs)))
+    a, b = xs[max(best - 1, 0)], xs[min(best + 1, n - 1)]
+    phi = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - phi * (b - a), a + phi * (b - a)
+    f = land._raw
+    for _ in range(120):
+        if f(c) < f(d):
+            b, d = d, c
+            c = b - phi * (b - a)
+        else:
+            a, c = c, d
+            d = a + phi * (b - a)
+    return float(min(f(a), f(b), f(c), f(d)))
+
+
+def _random_wells(seed):
+    # 1-4 wells, some centred outside the scan; every fourth instance has no quadratic background
+    rng = np.random.default_rng(seed)
+    wells = [
+        Well(float(rng.uniform(0.1, 3.0)), float(rng.uniform(-13.0, 13.0)), float(rng.uniform(0.05, 2.0)))
+        for _ in range(int(rng.integers(1, 5)))
+    ]
+    curvature = 0.0 if seed % 4 == 0 else float(rng.uniform(0.0, 0.1))
+    return GaussianWells1D(curvature, wells)
+
+
+def _bits(xs):
+    return [np.float64(x).tobytes() for x in xs]
+
+
+def test_wells_minima_and_offset_match_the_reference_searches():
+    # a minimum at 0, where floats are dense, ends its bisection after 200 halvings
+    lands = [GaussianWells1D.default(), GaussianWells1D(0.0, [Well(1.0, 0.0, 0.25)])]
+    lands += [_random_wells(seed) for seed in range(100)]
+    lo, hi, n = GaussianWells1D.SCAN
+    grid = np.linspace(lo, hi, n)
+    for land in lands:
+        assert _bits(land.local_minima()) == _bits(_scan_and_bisect_minima(land))
+        old = -_golden_section_raw_min(land)
+        assert abs(land.offset - old) <= 1e-15 * max(1.0, abs(old))
+        assert land.value(grid).min() >= -1e-12
+
+
+def test_wells_without_minima_take_the_offset_from_the_scan():
+    flat = GaussianWells1D(0.0, [])
+    assert flat.offset == 0.0 and flat.local_minima() == []
+    # a lone well centred right of the scan: F falls toward the right end
+    lone = GaussianWells1D(0.0, [Well(1.0, 14.0, 1.0)])
+    assert lone.local_minima() == []
+    assert lone.offset == -float(lone._raw(GaussianWells1D.SCAN[1]))
+    assert lone.offset > -float(lone._raw(GaussianWells1D.SCAN[0]))
+
+
+def test_wells_local_minima_is_a_fresh_list():
+    land = GaussianWells1D.default()
+    first = land.local_minima()
+    first.append(0.0)
+    second = land.local_minima()
+    assert len(second) == 3 and second is not land.local_minima()
 
 
 # -- finite differences ----------------------------------------------------------
