@@ -50,18 +50,12 @@ class EscapeDemo:
 def _demo_config(base_lr: float, sing_enabled: bool, total_steps: int, start: float) -> str:
     return "\n".join(
         [
-            "task.kind = wells1d",
             f"task.start = {start!r}",
             "optimizer.kind = sgd",
-            "optimizer.momentum = 0.0",
             f"sing.enabled = {'true' if sing_enabled else 'false'}",
-            "sing.centralize = true",
             "sing.epsilon = 0.0",
-            "schedule.kind = cosine",
             f"schedule.base_lr = {base_lr!r}",
-            "schedule.warmup_steps = 0",
             f"schedule.total_steps = {total_steps}",
-            "weight_decay = 0.0",
         ]
     )
 

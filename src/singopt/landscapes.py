@@ -48,6 +48,12 @@ _LOSSES_CHUNK_ELEMENTS = 1 << 15
 _FD_POINTS_ELEMENTS = 1 << 18
 
 
+# ``** 2`` squares a numpy scalar through libm pow, an array by a multiply (bits
+# can differ); a helper, not a named ``d``, frees ``d`` before the next temporary
+def _square(d):
+    return d * d
+
+
 class EvaluationError(ArithmeticError):
     """A landscape produced a non-finite value or gradient."""
 
@@ -98,11 +104,8 @@ class Rosenbrock(Landscape):
         if x.partition != self.partition:
             raise ValueError("partition mismatch")
         a, b = x.values
-        value = (1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2
-        grad = np.array(
-            [-2.0 * (1.0 - a) - 400.0 * a * (b - a * a), 200.0 * (b - a * a)]
-        )
-        return self._checked(x, value, grad)
+        u, v = 1.0 - a, b - a * a
+        return self._checked(x, u * u + 100.0 * (v * v), np.array([-2.0 * u - 400.0 * a * v, 200.0 * v]))
 
 
 @dataclass(frozen=True)
@@ -123,8 +126,8 @@ class GaussianWells1D(Landscape):
 
     Construction finds the local minima once, bisecting each - to + slope
     sign change on the ``SCAN`` grid; the offset is minus the lowest F over
-    them and the scan ends.  The default instance has two narrow wells and
-    one wide well whose bottom is the global minimum.
+    them and the scan ends.  Floats and arrays give the same bits.  The
+    default has two narrow wells and a wide one holding the global minimum.
     """
 
     SCAN = (-12.0, 12.0, 120001)
@@ -170,16 +173,14 @@ class GaussianWells1D(Landscape):
         x = np.asarray(x, dtype=np.float64)
         acc = self.curvature * x * x
         for w in self.wells:
-            acc = acc - w.depth * np.exp(-((x - w.center) ** 2) / (2.0 * w.width**2))
+            acc = acc - w.depth * np.exp(-_square(x - w.center) / (2.0 * w.width**2))
         return acc
 
     def slope(self, x) -> np.ndarray | float:
         x = np.asarray(x, dtype=np.float64)
         acc = 2.0 * self.curvature * x
         for w in self.wells:
-            acc = acc + w.depth * (x - w.center) / w.width**2 * np.exp(
-                -((x - w.center) ** 2) / (2.0 * w.width**2)
-            )
+            acc = acc + w.depth * (x - w.center) / w.width**2 * np.exp(-_square(x - w.center) / (2.0 * w.width**2))
         return acc
 
     def evaluate(self, x: BlockedVector) -> tuple[float, BlockedVector]:

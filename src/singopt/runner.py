@@ -153,6 +153,8 @@ def run_experiment(
     setup: RunSetup,
     batcher: EpochBatcher | None = None,
 ) -> RunResult:
+    if unknown := sorted(setup.pipeline.weight_decay_skip.difference(landscape.partition.names)):
+        raise ConfigError(f"weight_decay_skip: the task has no block {', '.join(map(repr, unknown))}")
     params = x0.copy()
     state = OptimizerState(params)
     trace = RunTrace(partition=params.partition, seed=setup.seed, config=setup.raw)
@@ -202,6 +204,4 @@ def run_experiment(
 
 def run_setup(setup: RunSetup) -> RunResult:
     landscape, x0, batcher = build_task(setup)
-    if unknown := sorted(setup.pipeline.weight_decay_skip.difference(landscape.partition.names)):
-        raise ConfigError(f"weight_decay_skip: the task has no block {', '.join(map(repr, unknown))}")
     return run_experiment(landscape, x0, setup, batcher)

@@ -52,6 +52,14 @@ class EscapeThresholds:
     grad_norm: float
     D: int
 
+    def __post_init__(self) -> None:
+        if self.r < 0:
+            raise ValueError("radius must be >= 0")
+        if self.D < 1:
+            raise ValueError("D must be >= 1")
+        if self.grad_norm < 0:
+            raise ValueError("grad_norm must be >= 0")
+
     @property
     def eta_sing(self) -> float:
         return 2.0 * self.r / math.sqrt(self.D)
@@ -67,14 +75,7 @@ class EscapeThresholds:
         return 2.0 * self.r / self.grad_norm
 
 
-def escape_thresholds(r: float, grad_norm: float, D: int) -> EscapeThresholds:
-    if r < 0:
-        raise ValueError("radius must be >= 0")
-    if D < 1:
-        raise ValueError("D must be >= 1")
-    if grad_norm < 0:
-        raise ValueError("grad_norm must be >= 0")
-    return EscapeThresholds(r=r, grad_norm=grad_norm, D=D)
+escape_thresholds = EscapeThresholds
 
 
 def estimate_basin_radius(

@@ -4,7 +4,8 @@ The on-disk format is a ``#``-prefixed header block (config snapshot,
 block manifest, seed), a CSV column row, then one row per step.  Floats
 are written with ``repr`` (shortest round-trip form) so a given run
 always produces byte-identical files.  A header that reads two ways
-(config line without ``=``, config key or seed set twice) does not load.
+(config line without ``=``, config key or seed set twice) or a ``# diverged``
+footer that is not the last line does not load.
 """
 
 from __future__ import annotations
@@ -123,6 +124,8 @@ class RunTrace:
             line = line.strip()
             if not line:
                 continue
+            if diverged_at is not None:
+                raise TraceFormatError(f"line {lineno}: the diverged footer must be the last line")
             if line.startswith("#"):
                 body = line[1:].strip()
                 if body.startswith("config "):

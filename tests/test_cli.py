@@ -131,6 +131,20 @@ def test_trace_rejects_garbage():
         RunTrace.loads("# block x q\n# seed 0\n" + columns)
 
 
+# dumps writes one diverged footer, as the last line
+FOOTER_NOT_LAST = {
+    "second-footer": "# diverged step=1\n# diverged step=5\n",
+    "row-after-footer": "# diverged step=0\n0,1,2,3,4,5,6,7\n",
+}
+
+
+@pytest.mark.parametrize("body", FOOTER_NOT_LAST.values(), ids=FOOTER_NOT_LAST.keys())
+def test_trace_diverged_footer_must_be_the_last_line(body):
+    columns = "step,lr,loss,grad_l2,grad_phi,update_l2,param_mean,bnorm_x\n"
+    with pytest.raises(TraceFormatError, match="line 5: the diverged footer must be the last line"):
+        RunTrace.loads("# block x 1\n# seed 0\n" + columns + body)
+
+
 TWO_WAY_HEADERS = [
     # (header lines, what the error must name): dumps writes none of these
     ("# config seed 0\n# block x 1\n# seed 0\n", "line 1: config line has no '='"),
@@ -240,6 +254,8 @@ def test_run_bad_config_exits_cleanly(tmp_path, capsys, text, code, named):
     assert named in err
     if code == 3:
         assert out.read_text().splitlines()[-1] == "# diverged step=0"
+    else:
+        assert not out.exists()
 
 
 RANGE_ERRORS = [
@@ -368,6 +384,16 @@ def test_run_names_the_block_whose_norm_overflows():
         result = run_experiment(Tilted(), x0, setup)
     assert result.cause == "non-finite norm of block 'w' (inf)"
     assert result.trace.diverged_at == 0 and result.trace.steps == 0
+
+
+def test_library_run_checks_weight_decay_skip_names():
+    # run_experiment refuses the names as `singopt run` does, before any step
+    from singopt.runner import build_task, run_experiment
+
+    setup = parse_config("task.kind = mlp\nschedule.total_steps = 3\nweight_decay = 0.1\nweight_decay_skip = b3\n")
+    landscape, x0, batcher = build_task(setup)
+    with pytest.raises(ConfigError, match="weight_decay_skip: the task has no block 'b3'"):
+        run_experiment(landscape, x0, setup, batcher)
 
 
 PATH_ERRORS = {
@@ -540,6 +566,20 @@ def demo_dir(tmp_path_factory):
     outdir = tmp_path_factory.mktemp("demo")
     assert main(["escape-demo", "--out", str(outdir)]) == 0
     return outdir
+
+
+# sha256 of the escape-demo files, recorded with numpy 2.4 on x86-64; the
+# runs are 1-D, so no BLAS call is involved
+ESCAPE_DEMO_SHA256 = {
+    "sing.csv": "38a5c61153c3ef00103f471b4b2efc1c60e4604051551ba0d83fabce26772e06",
+    "sgd.csv": "94df9086f962fe54fbfe0062fac95a4acdf6d28bef3ff96c906d90c4a116d59b",
+    "overlay.svg": "f9e91abc879dbffec0d20a8b8e9c32aa0c18d95cd15b222074efb16cfc2c30b5",
+}
+
+
+def test_escape_demo_bytes_are_pinned(demo_dir):
+    digests = {name: hashlib.sha256((demo_dir / name).read_bytes()).hexdigest() for name in ESCAPE_DEMO_SHA256}
+    assert digests == ESCAPE_DEMO_SHA256
 
 
 def test_escape_demo_writes_artifacts(demo_dir):

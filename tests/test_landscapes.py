@@ -165,6 +165,19 @@ def test_wells_local_minima_is_a_fresh_list():
     assert len(second) == 3 and second is not land.local_minima()
 
 
+def test_wells_floats_and_arrays_give_the_same_bits():
+    # a float and an array square ``x - center`` the same way, so the scalar
+    # calls, ``evaluate`` and a batched grid agree bit for bit
+    land = GaussianWells1D.default()
+    xs = np.linspace(-12, 12, 20001)
+    slopes, values = land.slope(xs), land.value(xs)
+    assert _bits(slopes) == _bits([land.slope(x) for x in xs])
+    assert _bits(values) == _bits([land.value(x) for x in xs])
+    evaluated = [land.evaluate(land.as_point(x)) for x in xs]
+    assert _bits(values) == _bits([value for value, _ in evaluated])
+    assert _bits(slopes) == _bits([grad.values[0] for _, grad in evaluated])
+
+
 # -- finite differences ----------------------------------------------------------
 
 def test_fd_gradient_quadratic_accuracy():

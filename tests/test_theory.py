@@ -10,6 +10,7 @@ from singopt.rng import Xoshiro256, derive_seed
 from singopt.standardize import centralize
 from singopt.theory import (
     ConvergenceRecipe,
+    EscapeThresholds,
     convergence_audit,
     escape_thresholds,
     estimate_basin_radius,
@@ -45,10 +46,13 @@ def test_threshold_ordering_over_d():
 
 
 def test_thresholds_validation():
-    with pytest.raises(ValueError):
-        escape_thresholds(r=-1.0, grad_norm=1.0, D=1)
-    with pytest.raises(ValueError):
-        escape_thresholds(r=1.0, grad_norm=1.0, D=0)
+    for make in (escape_thresholds, EscapeThresholds):
+        with pytest.raises(ValueError):
+            make(r=-1.0, grad_norm=1.0, D=1)
+        with pytest.raises(ValueError):
+            make(r=1.0, grad_norm=1.0, D=0)
+        with pytest.raises(ValueError):
+            make(r=1.0, grad_norm=-1.0, D=1)
 
 
 # -- basin radius ------------------------------------------------------------------

@@ -24,6 +24,7 @@ SRC = str(Path(verify.__file__).parents[1])
 def test_suite_passes(suite):
     records = run_suite(suite)
     assert records
+    assert all(rec.check.startswith(f"{suite}.") for rec in records), [rec.check for rec in records]
     failing = [rec for rec in records if not rec.passed]
     assert not failing, [(rec.check, rec.lhs, rec.rhs) for rec in failing]
 
