@@ -1,9 +1,12 @@
 """Differentiable toy objectives and a tiny analytic-backprop MLP task.
 
 Every landscape exposes ``evaluate(x) -> (value, gradient)`` with an
-analytic gradient, and ``losses(points)``: the loss at each row of an
-(m, p) array, bit for bit what ``evaluate(row)[0]`` gives.  The base
-class loops over ``evaluate``.  :class:`MlpTask` has one forward pass
+analytic gradient, and two batch oracles over the rows of an (m, p)
+array, refusing any other shape: ``losses(points)`` and
+``gradients(points)``, bit for bit what ``evaluate(row)[0]`` and
+``evaluate(row)[1]`` give.  The base class loops over ``evaluate``;
+:class:`GaussianWells1D` computes ``gradients`` with one array call to
+its slope.  :class:`MlpTask` has one forward pass
 for one point or a stack of points: ``evaluate`` and ``minibatch``
 follow it with the backward pass, ``losses`` runs it once per chunk of
 stacked parameters and ``accuracy`` reads its logits, so the loss the
@@ -68,7 +71,20 @@ class Landscape:
 
     def losses(self, points: np.ndarray) -> np.ndarray:
         """The loss at each row of an (m, p) array, as ``evaluate(row)[0]``."""
-        return np.array([self.evaluate(BlockedVector(row, self.partition))[0] for row in points], dtype=np.float64)
+        rows = self._rows(points)
+        return np.array([self.evaluate(BlockedVector(row, self.partition))[0] for row in rows], dtype=np.float64)
+
+    def gradients(self, points: np.ndarray) -> np.ndarray:
+        """The gradient at each row of an (m, p) array, as ``evaluate(row)[1]``."""
+        rows = [self.evaluate(BlockedVector(row, self.partition))[1].values for row in self._rows(points)]
+        return np.array(rows, dtype=np.float64).reshape(-1, self.partition.p)
+
+    def _rows(self, points: np.ndarray) -> np.ndarray:
+        """``points`` as float64, refused unless it is an (m, p) array."""
+        points = np.asarray(points, dtype=np.float64)
+        if points.ndim != 2 or points.shape[1] != self.partition.p:
+            raise ValueError(f"points must have shape (m, {self.partition.p}), got {points.shape}")
+        return points
 
     def _checked(self, x: BlockedVector, value: float, grad: np.ndarray) -> tuple[float, BlockedVector]:
         if not math.isfinite(value) or not np.isfinite(grad).all():
@@ -76,6 +92,12 @@ class Landscape:
                 f"{type(self).__name__} produced non-finite output at ||x||={norm(x.values):.3g}"
             )
         return float(value), BlockedVector(grad, self.partition)
+
+    def _checked_rows(self, finite: np.ndarray, what: str) -> None:
+        """Raise :class:`EvaluationError` naming the first row whose ``what`` is not finite."""
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise EvaluationError(f"{type(self).__name__} produced a non-finite {what} at row {bad} of {finite.size}")
 
 
 class Quadratic(Landscape):
@@ -188,6 +210,13 @@ class GaussianWells1D(Landscape):
             raise ValueError("partition mismatch")
         t = float(x.values[0])
         return self._checked(x, float(self.value(t)), np.array([float(self.slope(t))]))
+
+    def gradients(self, points: np.ndarray) -> np.ndarray:
+        """One array call for every row; refuses a row where ``evaluate`` would."""
+        xs = self._rows(points)[:, 0]
+        slopes = self.slope(xs)
+        self._checked_rows(np.isfinite(self.value(xs)) & np.isfinite(slopes), "output")
+        return slopes[:, None]
 
     def local_minima(self) -> list[float]:
         """The slope's - to + crossings on the scan, bisected once at construction; a fresh list."""
@@ -408,18 +437,14 @@ class MlpTask(Landscape):
         One stacked :meth:`_forward` per chunk of rows; chunks keep the
         hidden activations under ``_LOSSES_CHUNK_ELEMENTS`` elements.
         """
-        points = np.asarray(points, dtype=np.float64)
-        if points.ndim != 2 or points.shape[1] != self.partition.p:
-            raise ValueError(f"points must have shape (m, {self.partition.p}), got {points.shape}")
+        points = self._rows(points)
         data = self.dataset
         step = max(1, _LOSSES_CHUNK_ELEMENTS // (data.n * self.hidden))
         out = np.empty(points.shape[0])
         for start in range(0, points.shape[0], step):
             chunk = points[start : start + step]
             out[start : start + chunk.shape[0]] = self._forward(self._unpack(chunk), data.xs, data.labels)[0]
-        if not np.all(np.isfinite(out)):
-            bad = int(np.argmin(np.isfinite(out)))
-            raise EvaluationError(f"MlpTask produced a non-finite loss at row {bad} of {points.shape[0]}")
+        self._checked_rows(np.isfinite(out), "loss")
         return out
 
     def accuracy(self, x: BlockedVector) -> float:

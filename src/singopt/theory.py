@@ -8,7 +8,9 @@ into checkable numbers:
   of attraction (``2 r`` for globally-normalized GD, ``2 r / |grad|``
   for plain GD, which degenerates as the gradient vanishes);
 * a numeric basin-radius estimator based on the inner-product
-  characterization ``<grad F(x), x - x*> >= 0``;
+  characterization ``<grad F(x), x - x*> >= 0``, and the single-step
+  check of those thresholds from a grid of starts; both ask the
+  landscape's batch oracle ``gradients`` for many points at once;
 * time-average gradient-norm audits against the bound
   ``F(x0)/(eta T) + (1 + sqrt(D)) eps + eta L D / 2`` and its recipe
   form ``(2 + sqrt(D) + D) eps``.
@@ -42,6 +44,8 @@ __all__ = [
 
 # words drawn at once by estimate_smoothness: 256 KiB
 _SMOOTHNESS_RUN_WORDS = 1 << 15
+# radii per landscape.gradients call in estimate_basin_radius
+_RADIAL_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -94,14 +98,24 @@ def estimate_basin_radius(
     largest sampled radius below the first violation of
     ``<grad F(x), x - x*> >= 0``.  ``r_max`` itself is returned when no
     violation is found inside the sampling box.  ``x_star`` must already
-    be critical to ``critical_tol``.
+    be critical to ``critical_tol``.  Each direction is walked only below
+    the radius found so far, in runs of ``_RADIAL_CHUNK`` radii, one
+    ``landscape.gradients`` call a run, up to the run that holds a
+    violation.
     """
-    _, g_star = landscape.evaluate(x_star)
-    if g_star.l2_norm() >= critical_tol:
-        raise ValueError(
-            f"x_star is not a critical point: ||grad|| = {g_star.l2_norm():.3g} >= {critical_tol:.3g}"
-        )
+    if not (math.isfinite(r_max) and r_max > 0):
+        raise ValueError(f"r_max must be positive and finite, got {r_max!r}")
+    if n_radial < 1:
+        raise ValueError(f"n_radial must be >= 1, got {n_radial}")
     p = x_star.partition.p
+    if p > 1 and n_directions < 1:
+        raise ValueError(f"n_directions must be >= 1, got {n_directions}")
+    if x_star.partition != landscape.partition:
+        raise ValueError("partition mismatch")
+    base = x_star.values
+    g_star = norm(landscape.gradients(base[None, :])[0])
+    if g_star >= critical_tol:
+        raise ValueError(f"x_star is not a critical point: ||grad|| = {g_star:.3g} >= {critical_tol:.3g}")
     if p == 1:
         directions = np.array([[1.0], [-1.0]])
     else:
@@ -111,14 +125,18 @@ def estimate_basin_radius(
 
     radii = np.linspace(r_max / n_radial, r_max, n_radial)
     r_hat = r_max
-    base = x_star.values
     for u in directions:
-        for i, rho in enumerate(radii):
-            if rho >= r_hat:
-                break
-            x = BlockedVector(base + rho * u, x_star.partition)
-            _, g = landscape.evaluate(x)
-            if float(np.dot(g.values, x.values - base)) < 0.0:
+        line = radii[: int(np.searchsorted(radii, r_hat))]  # the radii below r_hat: radii ascend
+        for start in range(0, line.size, _RADIAL_CHUNK):
+            points = base + line[start : start + _RADIAL_CHUNK, None] * u
+            grads, outward = landscape.gradients(points), points - base
+            if p == 1:
+                inner = grads[:, 0] * outward[:, 0]
+            else:
+                inner = np.array([np.dot(g, d) for g, d in zip(grads, outward)])
+            bad = np.flatnonzero(inner < 0.0)
+            if bad.size:
+                i = start + int(bad[0])
                 r_hat = radii[i - 1] if i > 0 else 0.0
                 break
     return float(r_hat)
@@ -143,35 +161,47 @@ def single_step_escape_check(
     ``(n, p)`` or ``(n,)`` when p == 1).  Starts where the gradient (or a
     block of it) vanishes cannot take a normalized step and are marked
     unusable; ``escaped`` records whether the new point left the closed
-    ball of radius ``r_hat``.
+    ball of radius ``r_hat``.  One ``landscape.gradients`` call serves
+    every start; at p == 1 the steps are array expressions, where the
+    SING step of the one scalar block is NGD's g / sqrt(g * g).
     """
     if method not in ("gd", "ngd", "sing"):
         raise ValueError(f"unknown method {method!r}")
+    if not r_hat >= 0:
+        raise ValueError(f"r_hat must be >= 0, got {r_hat!r}")
+    if not (math.isfinite(eta) and eta >= 0):
+        raise ValueError(f"eta must be finite and >= 0, got {eta!r}")
+    if x_star.partition != landscape.partition:
+        raise ValueError("partition mismatch")
     starts = np.atleast_2d(np.asarray(starts, dtype=np.float64))
     if starts.shape[0] == 1 and x_star.partition.p == 1 and starts.shape[1] != 1:
         starts = starts.T
-    n = starts.shape[0]
-    escaped = np.zeros(n, dtype=bool)
-    usable = np.ones(n, dtype=bool)
+    grads = landscape.gradients(starts)
+    if x_star.partition.p == 1:
+        g = grads[:, 0]
+        size = np.sqrt(g * g)  # norm() of each one-element gradient
+        usable = size >= 1e-12
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = g if method == "gd" else g / size
+        moved = starts[:, 0] - eta * step - x_star.values[0]
+        return usable & (np.sqrt(moved * moved) > r_hat), usable
+    escaped, usable = np.zeros(len(starts), dtype=bool), np.ones(len(starts), dtype=bool)
     exact = StandardizeConfig(centralize_enabled=True, normalize_enabled=True, epsilon=0.0)
-    for i in range(n):
-        x = BlockedVector(starts[i].copy(), x_star.partition)
-        _, g = landscape.evaluate(x)
-        if g.l2_norm() < 1e-12:
+    for i, g in enumerate(grads):
+        if norm(g) < 1e-12:
             usable[i] = False
             continue
         if method == "gd":
-            step_vec = g.values
+            step = g
         elif method == "ngd":
-            step_vec = g.values / norm(g.values)
+            step = g / norm(g)
         else:
             try:
-                step_vec = sing_transform(g, exact).values
+                step = sing_transform(BlockedVector(g, x_star.partition), exact).values
             except ZeroGradientBlockError:
                 usable[i] = False
                 continue
-        new_x = x.values - eta * step_vec
-        escaped[i] = norm(new_x - x_star.values) > r_hat
+        escaped[i] = norm(starts[i] - eta * step - x_star.values) > r_hat
     return escaped, usable
 
 

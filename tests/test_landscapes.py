@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from singopt import landscapes
+from singopt import landscapes, verify
 from singopt.blocked import BlockPartition, BlockedVector, from_blocks
 from singopt.landscapes import (
     BlobsDataset,
@@ -176,6 +176,45 @@ def test_wells_floats_and_arrays_give_the_same_bits():
     evaluated = [land.evaluate(land.as_point(x)) for x in xs]
     assert _bits(values) == _bits([value for value, _ in evaluated])
     assert _bits(slopes) == _bits([grad.values[0] for _, grad in evaluated])
+
+
+def test_wells_gradients_equal_evaluate_bit_for_bit():
+    land = GaussianWells1D.default()
+    xs = np.linspace(-12, 12, 20001)
+    got = land.gradients(xs[:, None])
+    assert got.shape == (xs.size, 1)
+    assert got.tobytes() == np.array([land.evaluate(land.as_point(x))[1].values for x in xs]).tobytes()
+
+
+# the base class's loop over ``evaluate``: a rank-2 block, Rosenbrock and the check suite's MLP
+GRADIENTS_CASES = {
+    "quadratic-rank-2": (lambda: Quadratic(BlockPartition.of([("a", (3,)), ("w", (2, 2))]), smoothness=1.5), 2.0),
+    "rosenbrock": (Rosenbrock, 1.5),
+    "mlp-check-suite": (verify._small_mlp, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", GRADIENTS_CASES)
+def test_gradients_equal_evaluate_bit_for_bit(name):
+    make, scale = GRADIENTS_CASES[name]
+    land = make()
+    start = land.initial_params().values if isinstance(land, MlpTask) else np.zeros(land.partition.p)
+    points = start + np.random.default_rng(len(name)).uniform(-scale, scale, (9, land.partition.p))
+    want = np.array([land.evaluate(BlockedVector(row, land.partition))[1].values for row in points])
+    assert land.gradients(points).tobytes() == want.tobytes()
+    assert land.gradients(points[:0]).shape == (0, land.partition.p)
+
+
+@pytest.mark.parametrize("name", ["wells1d", "quadratic"])
+def test_gradients_refuse_a_non_finite_row(name):
+    # at 1e200 the wells' slope is finite but their value is not: evaluate refuses the point
+    land = GaussianWells1D.default() if name == "wells1d" else Quadratic(BlockPartition.of([("x", (1,))]))
+    points = np.array([[0.5], [1e200], [0.0]])
+    with np.errstate(over="ignore"):
+        with pytest.raises(EvaluationError):
+            land.evaluate(BlockedVector(points[1], land.partition))
+        with pytest.raises(EvaluationError, match="row 1 of 3" if name == "wells1d" else None):
+            land.gradients(points)
 
 
 # -- finite differences ----------------------------------------------------------
@@ -692,6 +731,16 @@ def test_evaluate_rejects_a_foreign_partition(name):
     for part in (BlockPartition.of([("other", (p,))]), BlockPartition.of([("other", (p + 1,))])):
         with pytest.raises(ValueError, match="partition mismatch"):
             land.evaluate(BlockedVector(np.zeros(part.p), part))
+
+
+@pytest.mark.parametrize("name", FOREIGN_CASES)
+def test_batch_oracles_take_only_m_by_p_arrays(name):
+    land = FOREIGN_CASES[name]()
+    p = land.partition.p
+    for points in (np.zeros(p), np.zeros(3), np.zeros((2, p + 1)), np.zeros((1, 2, p))):
+        for oracle in (land.losses, land.gradients):
+            with pytest.raises(ValueError, match=rf"points must have shape \(m, {p}\)"):
+                oracle(points)
 
 
 def test_non_finite_loss_raises_from_losses_and_fd_gradient():

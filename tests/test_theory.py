@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from singopt import theory
-from singopt.blocked import BlockPartition, BlockedVector
-from singopt.landscapes import GaussianWells1D, Landscape, MlpTask, Quadratic, Well, make_blobs
+from singopt.blocked import BlockPartition, BlockedVector, norm
+from singopt.landscapes import GaussianWells1D, Landscape, MlpTask, Quadratic, Rosenbrock, Well, make_blobs
 from singopt.rng import Xoshiro256, derive_seed
-from singopt.standardize import centralize
+from singopt.standardize import StandardizeConfig, ZeroGradientBlockError, centralize, sing_transform
 from singopt.theory import (
     ConvergenceRecipe,
     EscapeThresholds,
@@ -162,6 +162,234 @@ def test_unknown_method_rejected(narrow_well):
     land, m, x_star, r_hat = narrow_well
     with pytest.raises(ValueError, match="method"):
         single_step_escape_check(land, x_star, r_hat, 0.1, "newton", np.array([m + 0.1]))
+
+
+# -- argument checks ------------------------------------------------------------------
+
+def _quadratic4():
+    part = BlockPartition.of([("x", (4,))])
+    return Quadratic(part), BlockedVector(np.zeros(4), part)
+
+
+@pytest.mark.parametrize(
+    "argument, kwargs",
+    [
+        ("r_max", {"r_max": 0.0}),
+        ("r_max", {"r_max": -1.0}),
+        ("n_radial", {"n_radial": 0}),
+        ("n_directions", {"n_directions": 0}),
+    ],
+    ids=["r_max-zero", "r_max-negative", "n_radial-zero", "n_directions-zero"],
+)
+def test_basin_radius_refuses_a_meaningless_argument(argument, kwargs):
+    land, x_star = _quadratic4()
+    with pytest.raises(ValueError, match=argument):
+        estimate_basin_radius(land, x_star, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "argument, r_hat, eta",
+    [("r_hat", -1.0, 0.1), ("eta", 0.3, -0.1), ("eta", 0.3, math.nan), ("eta", 0.3, math.inf)],
+    ids=["r_hat-negative", "eta-negative", "eta-nan", "eta-inf"],
+)
+def test_single_step_refuses_a_meaningless_argument(narrow_well, argument, r_hat, eta):
+    land, m, x_star, _ = narrow_well
+    with pytest.raises(ValueError, match=argument):
+        single_step_escape_check(land, x_star, r_hat, eta, "sing", np.array([m + 0.1]))
+
+
+# -- the batched helpers against their per-point loops ---------------------------------
+
+def _reference_basin_radius(landscape, x_star, r_max, n_radial, n_directions=64, seed=0):
+    # estimate_basin_radius's walk as it was before ``gradients``, copied
+    # verbatim: one evaluation per radial point
+    p = x_star.partition.p
+    if p == 1:
+        directions = np.array([[1.0], [-1.0]])
+    else:
+        gen = Xoshiro256(derive_seed(seed, 0xBA511))
+        directions = gen.normals(n_directions * p).reshape(n_directions, p)
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+
+    radii = np.linspace(r_max / n_radial, r_max, n_radial)
+    r_hat = r_max
+    base = x_star.values
+    for u in directions:
+        for i, rho in enumerate(radii):
+            if rho >= r_hat:
+                break
+            x = BlockedVector(base + rho * u, x_star.partition)
+            _, g = landscape.evaluate(x)
+            if float(np.dot(g.values, x.values - base)) < 0.0:
+                r_hat = radii[i - 1] if i > 0 else 0.0
+                break
+    return float(r_hat)
+
+
+def _reference_single_step(landscape, x_star, r_hat, eta, method, starts):
+    # single_step_escape_check's loop as it was before ``gradients``, copied
+    # verbatim: one evaluation per start
+    starts = np.atleast_2d(np.asarray(starts, dtype=np.float64))
+    if starts.shape[0] == 1 and x_star.partition.p == 1 and starts.shape[1] != 1:
+        starts = starts.T
+    n = starts.shape[0]
+    escaped = np.zeros(n, dtype=bool)
+    usable = np.ones(n, dtype=bool)
+    exact = StandardizeConfig(centralize_enabled=True, normalize_enabled=True, epsilon=0.0)
+    for i in range(n):
+        x = BlockedVector(starts[i].copy(), x_star.partition)
+        _, g = landscape.evaluate(x)
+        if g.l2_norm() < 1e-12:
+            usable[i] = False
+            continue
+        if method == "gd":
+            step_vec = g.values
+        elif method == "ngd":
+            step_vec = g.values / norm(g.values)
+        else:
+            try:
+                step_vec = sing_transform(g, exact).values
+            except ZeroGradientBlockError:
+                usable[i] = False
+                continue
+        new_x = x.values - eta * step_vec
+        escaped[i] = norm(new_x - x_star.values) > r_hat
+    return escaped, usable
+
+
+class _Cubic(Landscape):
+    """F(t) = sign * t^3: a critical point at 0 whose star condition fails at the first radius."""
+
+    def __init__(self, sign):
+        self.partition = BlockPartition.of([("x", (1,))])
+        self.sign = sign
+
+    def evaluate(self, x):
+        t = float(x.values[0])
+        return self._checked(x, self.sign * t**3, np.array([self.sign * 3.0 * t * t]))
+
+
+def _cubic_at_zero(sign):
+    land = _Cubic(sign)
+    return land, BlockedVector(np.zeros(1), land.partition)
+
+
+def _rosenbrock_minimum():
+    land = Rosenbrock()
+    return land, BlockedVector(np.ones(2), land.partition)
+
+
+def _wells_minimum(k):
+    land = GaussianWells1D.default()
+    return land, land.as_point(land.local_minima()[k])
+
+
+def _rank2_quadratic():
+    part = BlockPartition.of([("w", (2, 3)), ("v", (2,))])
+    return Quadratic(part, smoothness=1.5), BlockedVector(np.zeros(part.p), part)
+
+
+# (landscape and minimum, r_max, n_radial, n_directions); the wells' first
+# violations sit at index 638 and 841 of direction +1, the wide well's at
+# index 7058 of direction -1, and a cubic's at index 0 of one direction
+BASIN_CASES = {
+    "narrow-0": (lambda: _wells_minimum(0), 4.0, 8000, 64),
+    "narrow-1": (lambda: _wells_minimum(1), 4.0, 8000, 64),
+    "wide-second-direction": (lambda: _wells_minimum(2), 4.0, 8000, 64),
+    "cubic-index-0-first-direction": (lambda: _cubic_at_zero(-1.0), 2.0, 1000, 64),
+    "cubic-index-0-second-direction": (lambda: _cubic_at_zero(1.0), 2.0, 1000, 64),
+    "rosenbrock": (_rosenbrock_minimum, 2.0, 1000, 16),
+    "quadratic-rank-2": (_rank2_quadratic, 2.0, 200, 8),
+}
+
+
+@pytest.mark.parametrize("chunk", [None, 7], ids=["module-chunk", "7-radii-chunks"])
+@pytest.mark.parametrize("name", BASIN_CASES)
+def test_basin_radius_equals_the_per_point_walk(monkeypatch, name, chunk):
+    make, r_max, n_radial, n_directions = BASIN_CASES[name]
+    land, x_star = make()
+    if chunk:
+        monkeypatch.setattr(theory, "_RADIAL_CHUNK", chunk)
+    want = _reference_basin_radius(land, x_star, r_max, n_radial, n_directions)
+    got = estimate_basin_radius(land, x_star, r_max=r_max, n_radial=n_radial, n_directions=n_directions)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    if name.startswith("cubic"):
+        assert got == 0.0
+
+
+@pytest.mark.parametrize("method", ["gd", "ngd", "sing"])
+@pytest.mark.parametrize("k", [0, 1], ids=["narrow-0", "narrow-1"])
+def test_single_step_on_the_wells_equals_the_per_start_loop(k, method):
+    land, x_star = _wells_minimum(k)
+    m = float(x_star.values[0])
+    r_hat = estimate_basin_radius(land, x_star, r_max=4.0, n_radial=8000)
+    # the minimum itself is a start with a vanishing gradient
+    starts = np.append(interior_grid_1d(m, r_hat, 400), m)
+    for eta in (0.0, 0.95 * r_hat, 1.05 * 2.0 * r_hat):
+        got = single_step_escape_check(land, x_star, r_hat, eta, method, starts)
+        want = _reference_single_step(land, x_star, r_hat, eta, method, starts)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert not got[1][-1] and got[1][:-1].all()
+        if eta == 0.0 or method != "gd" and eta > 2.0 * r_hat:
+            assert got[0][got[1]].all() == (eta > 0.0)
+
+
+def _rosenbrock_starts():
+    land, x_star = _rosenbrock_minimum()
+    rng = np.random.default_rng(5)
+    starts = np.vstack([np.ones(2), 1.0 + 0.3 * rng.standard_normal((60, 2))])
+    return land, x_star, starts
+
+
+def _rank2_quadratic_starts():
+    land, x_star = _rank2_quadratic()
+    rng = np.random.default_rng(6)
+    starts = 0.4 * rng.standard_normal((60, land.partition.p))
+    # rows of the (2, 3) block constant, in eighths so that the row means are
+    # exact: its centralized gradient is zero
+    starts[::4, :6] = np.repeat(np.round(8.0 * starts[::4, [0, 3]]) / 8.0, 3, axis=1)
+    return land, x_star, starts
+
+
+@pytest.mark.parametrize("method", ["gd", "ngd", "sing"])
+@pytest.mark.parametrize("make", [_rosenbrock_starts, _rank2_quadratic_starts], ids=["rosenbrock", "quadratic-rank-2"])
+def test_single_step_on_general_partitions_equals_the_per_start_loop(make, method):
+    land, x_star, starts = make()
+    for eta in (0.0, 0.3, 1.2):
+        got = single_step_escape_check(land, x_star, 0.5, eta, method, starts)
+        want = _reference_single_step(land, x_star, 0.5, eta, method, starts)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    # Rosenbrock's minimum, and for SING the quadratic's row-constant starts
+    if make is _rosenbrock_starts:
+        assert np.flatnonzero(~got[1]).tolist() == [0]
+    else:
+        assert np.flatnonzero(~got[1]).tolist() == (list(range(0, 60, 4)) if method == "sing" else [])
+
+
+def test_escape_helpers_evaluate_no_wells_point(monkeypatch):
+    land, x_star = _wells_minimum(0)
+    m = float(x_star.values[0])
+    calls = []
+    original = GaussianWells1D.gradients
+    monkeypatch.setattr(
+        GaussianWells1D, "gradients", lambda self, points: calls.append(points.shape) or original(self, points)
+    )
+    monkeypatch.setattr(GaussianWells1D, "evaluate", lambda self, x: pytest.fail("an escape helper evaluated a point"))
+    r_hat = estimate_basin_radius(land, x_star, r_max=4.0, n_radial=8000)
+    calls.clear()
+    starts = interior_grid_1d(m, r_hat, 1000)
+    escaped, usable = single_step_escape_check(land, x_star, r_hat, 1.05 * 2.0 * r_hat, "sing", starts)
+    assert calls == [(1000, 1)]
+    assert 0.2 < r_hat < 0.45 and escaped[usable].all()
+
+
+def test_escape_helpers_refuse_a_foreign_partition():
+    land = Quadratic(BlockPartition.of([("a", (3,))]))
+    other = BlockedVector(np.zeros(3), BlockPartition.of([("b", (3,))]))
+    with pytest.raises(ValueError, match="partition mismatch"):
+        estimate_basin_radius(land, other)
+    with pytest.raises(ValueError, match="partition mismatch"):
+        single_step_escape_check(land, other, 0.5, 0.1, "gd", np.ones((2, 3)))
 
 
 # -- convergence recipe and audit ------------------------------------------------------
