@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["BlockPartition", "BlockedVector", "norm", "zeros", "from_blocks"]
+__all__ = ["BlockPartition", "BlockedVector", "norm", "row_dots", "zeros", "from_blocks"]
 
 
 def norm(x: np.ndarray) -> float:
@@ -26,6 +26,13 @@ def norm(x: np.ndarray) -> float:
     that wrapper's fixed cost per call.
     """
     return math.sqrt(x.dot(x))
+
+
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot of each row of ``a`` with that of ``b``: the BLAS dot of ``norm``, so
+    ``np.sqrt(row_dots(x, x))`` is ``norm`` of each row of ``x``, bit for bit.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 @dataclass(frozen=True)

@@ -18,13 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocked import BlockedVector
+from .blocked import BlockedVector, BlockPartition, row_dots
 
 __all__ = [
     "StandardizeConfig",
     "ZeroGradientBlockError",
     "centralize",
     "gamma",
+    "sing_rows",
     "sing_transform",
 ]
 
@@ -93,3 +94,17 @@ def sing_transform(g: BlockedVector, cfg: StandardizeConfig) -> BlockedVector:
     # norm + 0.0 == norm, so at epsilon = 0 this divides by the bare norms
     h.values /= np.repeat(norms + cfg.epsilon, h.partition.sizes)
     return h
+
+
+def sing_rows(rows: np.ndarray, partition: BlockPartition) -> tuple[np.ndarray, np.ndarray]:
+    """``sing_transform`` at epsilon = 0 of each row of an (n, p) array, bit for bit, and
+    a mask of the rows it would not refuse with :class:`ZeroGradientBlockError`.
+    """
+    h = np.array(rows, dtype=np.float64)
+    for sl, shape, axes, count in partition.centralize_views:
+        block = h[:, sl].reshape(len(h), *shape)
+        block -= np.add.reduce(block, axis=tuple(a + 1 for a in axes), keepdims=True) / count
+    norms = np.sqrt(np.stack([row_dots(h[:, sl], h[:, sl]) for sl in partition.slices], axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h /= np.repeat(norms, partition.sizes, axis=1)
+    return h, (norms != 0.0).all(axis=1)

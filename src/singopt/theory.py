@@ -9,8 +9,8 @@ into checkable numbers:
   for plain GD, which degenerates as the gradient vanishes);
 * a numeric basin-radius estimator based on the inner-product
   characterization ``<grad F(x), x - x*> >= 0``, and the single-step
-  check of those thresholds from a grid of starts; both ask the
-  landscape's batch oracle ``gradients`` for many points at once;
+  check of those thresholds from a grid of starts; both send many
+  points to one batch ``gradients`` call, one array path for every p;
 * time-average gradient-norm audits against the bound
   ``F(x0)/(eta T) + (1 + sqrt(D)) eps + eta L D / 2`` and its recipe
   form ``(2 + sqrt(D) + D) eps``.
@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocked import BlockedVector, norm
+from .blocked import BlockedVector, norm, row_dots
 from .landscapes import Landscape
 from .rng import Xoshiro256, derive_seed, normals_from_words, uniforms_from_words
-from .standardize import StandardizeConfig, ZeroGradientBlockError, centralize, sing_transform
+from .standardize import centralize, sing_rows
 
 __all__ = [
     "EscapeThresholds",
@@ -100,8 +100,8 @@ def estimate_basin_radius(
     violation is found inside the sampling box.  ``x_star`` must already
     be critical to ``critical_tol``.  Each direction is walked only below
     the radius found so far, in runs of ``_RADIAL_CHUNK`` radii, one
-    ``landscape.gradients`` call a run, up to the run that holds a
-    violation.
+    ``landscape.gradients`` call and one ``row_dots`` a run, up to the run
+    that holds a violation.
     """
     if not (math.isfinite(r_max) and r_max > 0):
         raise ValueError(f"r_max must be positive and finite, got {r_max!r}")
@@ -129,12 +129,7 @@ def estimate_basin_radius(
         line = radii[: int(np.searchsorted(radii, r_hat))]  # the radii below r_hat: radii ascend
         for start in range(0, line.size, _RADIAL_CHUNK):
             points = base + line[start : start + _RADIAL_CHUNK, None] * u
-            grads, outward = landscape.gradients(points), points - base
-            if p == 1:
-                inner = grads[:, 0] * outward[:, 0]
-            else:
-                inner = np.array([np.dot(g, d) for g, d in zip(grads, outward)])
-            bad = np.flatnonzero(inner < 0.0)
+            bad = np.flatnonzero(row_dots(landscape.gradients(points), points - base) < 0.0)
             if bad.size:
                 i = start + int(bad[0])
                 r_hat = radii[i - 1] if i > 0 else 0.0
@@ -144,6 +139,8 @@ def estimate_basin_radius(
 
 def interior_grid_1d(x_star: float, r_hat: float, n: int) -> np.ndarray:
     """``n`` strictly interior points of the interval of radius ``r_hat``."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     return np.linspace(x_star - r_hat, x_star + r_hat, n + 2)[1:-1]
 
 
@@ -158,12 +155,11 @@ def single_step_escape_check(
     """One step of the chosen method from each start inside the ball.
 
     Returns ``(escaped, usable)`` boolean arrays over ``starts`` (shape
-    ``(n, p)`` or ``(n,)`` when p == 1).  Starts where the gradient (or a
-    block of it) vanishes cannot take a normalized step and are marked
-    unusable; ``escaped`` records whether the new point left the closed
-    ball of radius ``r_hat``.  One ``landscape.gradients`` call serves
-    every start; at p == 1 the steps are array expressions, where the
-    SING step of the one scalar block is NGD's g / sqrt(g * g).
+    ``(n, p)``, or ``(n,)`` when p == 1).  Starts where the gradient (or,
+    for sing, a centralized block of it) vanishes cannot take a normalized
+    step and are unusable; ``escaped`` records whether the new point left
+    the closed ball of radius ``r_hat``.  One ``landscape.gradients`` call
+    and array steps over its rows (``sing_rows`` for sing) serve every p.
     """
     if method not in ("gd", "ngd", "sing"):
         raise ValueError(f"unknown method {method!r}")
@@ -176,33 +172,19 @@ def single_step_escape_check(
     starts = np.atleast_2d(np.asarray(starts, dtype=np.float64))
     if starts.shape[0] == 1 and x_star.partition.p == 1 and starts.shape[1] != 1:
         starts = starts.T
+    if starts.size == 0:
+        raise ValueError("starts must hold at least one point")
     grads = landscape.gradients(starts)
-    if x_star.partition.p == 1:
-        g = grads[:, 0]
-        size = np.sqrt(g * g)  # norm() of each one-element gradient
-        usable = size >= 1e-12
+    norms = np.sqrt(row_dots(grads, grads))
+    usable = norms >= 1e-12
+    if method == "sing":
+        step, whole = sing_rows(grads, x_star.partition)
+        usable &= whole
+    else:
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = g if method == "gd" else g / size
-        moved = starts[:, 0] - eta * step - x_star.values[0]
-        return usable & (np.sqrt(moved * moved) > r_hat), usable
-    escaped, usable = np.zeros(len(starts), dtype=bool), np.ones(len(starts), dtype=bool)
-    exact = StandardizeConfig(centralize_enabled=True, normalize_enabled=True, epsilon=0.0)
-    for i, g in enumerate(grads):
-        if norm(g) < 1e-12:
-            usable[i] = False
-            continue
-        if method == "gd":
-            step = g
-        elif method == "ngd":
-            step = g / norm(g)
-        else:
-            try:
-                step = sing_transform(BlockedVector(g, x_star.partition), exact).values
-            except ZeroGradientBlockError:
-                usable[i] = False
-                continue
-        escaped[i] = norm(starts[i] - eta * step - x_star.values) > r_hat
-    return escaped, usable
+            step = grads if method == "gd" else grads / norms[:, None]
+    moved = starts - eta * step - x_star.values
+    return usable & (np.sqrt(row_dots(moved, moved)) > r_hat), usable
 
 
 @dataclass(frozen=True)
@@ -314,6 +296,10 @@ def estimate_smoothness(
     ``_SMOOTHNESS_RUN_WORDS`` a run unless one pair needs more, so long
     runs go through the lanes and the stream is the per-pair one.
     """
+    if n_pairs < 1:
+        raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be positive and finite, got {radius!r}")
     gen = Xoshiro256(derive_seed(seed, 0x5E00))
     p = x0.partition.p
     pair_words = 24 * p + 2

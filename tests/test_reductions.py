@@ -3,17 +3,21 @@
 ``blocked.norm``, ``BlockedVector.global_mean`` and ``standardize.centralize``
 call the kernels that ``np.linalg.norm`` and ``ndarray.mean`` call, without
 the wrappers.  These properties compare them with the wrappers through
-``.tobytes()``, so a sign of zero or a nan payload counts too.
+``.tobytes()``, so a sign of zero or a nan payload counts too.  The row
+forms, ``blocked.row_dots`` and ``standardize.sing_rows``, are compared the
+same way with ``blocked.norm`` and ``sing_transform`` of each row.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from singopt.blocked import BlockPartition, BlockedVector
-from singopt.standardize import centralize
+from singopt.blocked import BlockPartition, BlockedVector, norm, row_dots
+from singopt.standardize import StandardizeConfig, ZeroGradientBlockError, centralize, sing_rows, sing_transform
 
+EXACT = StandardizeConfig(epsilon=0.0)
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e-300, 1e300, -1e300, 1.7e308, np.inf, -np.inf, np.nan]
 
 shapes = st.lists(st.integers(1, 4), min_size=1, max_size=4).map(tuple)
@@ -59,3 +63,40 @@ def test_reductions_equal_the_numpy_wrappers_byte_for_byte(g):
         assert np.float64(g.l2_norm()).tobytes() == np.linalg.norm(g.values).tobytes()
         assert np.float64(g.global_mean()).tobytes() == g.values.mean().tobytes()
         assert centralize(g).values.tobytes() == _reference_centralize(g).tobytes()
+
+
+def _assert_rows_equal_the_per_vector_reductions(rows, partition):
+    with np.errstate(all="ignore"):
+        assert np.sqrt(row_dots(rows, rows)).tobytes() == np.array([norm(row) for row in rows]).tobytes()
+        steps, whole = sing_rows(rows, partition)
+        for row, step, ok in zip(rows, steps, whole):
+            try:
+                want = sing_transform(BlockedVector(row, partition), EXACT).values
+            except ZeroGradientBlockError:
+                assert not ok
+            else:
+                assert ok and step.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(blocked_vectors(), st.integers(-80, 80))
+@example(_vector([(5, 1), (3,), (2, 1, 1)], [1.0, -0.0, 1e300]), 3)
+@example(_vector([(4, 1), (2, 3, 1, 2)], [5e-324, -5e-324, 0.0, 1e-310]), -40)
+@example(_vector([(3, 1), (2, 2)], [np.inf, 1.0, -np.inf, np.nan]), 1)
+def test_row_reductions_equal_the_per_vector_ones_byte_for_byte(g, k):
+    with np.errstate(over="ignore"):
+        rows = np.stack([g.values, -g.values, np.ldexp(g.values, k), np.zeros(g.partition.p)])
+    _assert_rows_equal_the_per_vector_reductions(rows, g.partition)
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [[(10001,)], [(100, 100), (1,)], [(20000,)], [(100, 200)]],
+    ids=["10001-flat", "10001-rank-2", "20000-flat", "20000-rank-2"],
+)
+def test_long_rows_equal_the_per_vector_reductions(shapes):
+    # rows past the length where OpenBLAS splits a dot across threads
+    part = BlockPartition.of([(f"b{k}", shape) for k, shape in enumerate(shapes)])
+    rng = np.random.default_rng(part.p)
+    rows = rng.standard_normal((4, part.p)) * np.array([[1.0], [1e-150], [1e150], [0.0]])
+    _assert_rows_equal_the_per_vector_reductions(rows, part)

@@ -198,6 +198,48 @@ def test_single_step_refuses_a_meaningless_argument(narrow_well, argument, r_hat
         single_step_escape_check(land, x_star, r_hat, eta, "sing", np.array([m + 0.1]))
 
 
+@pytest.mark.parametrize(
+    "make, starts",
+    [
+        (lambda: _wells_minimum(0), np.array([])),
+        (lambda: _wells_minimum(0), np.empty((0, 1))),
+        (lambda: _rosenbrock_minimum(), np.empty((0, 2))),
+    ],
+    ids=["p1-flat", "p1-rows", "p2-rows"],
+)
+def test_single_step_refuses_no_starts(make, starts):
+    # zero starts would report 0 escape failures of 0
+    land, x_star = make()
+    for method in ("gd", "ngd", "sing"):
+        with pytest.raises(ValueError, match="starts"):
+            single_step_escape_check(land, x_star, 0.3, 0.1, method, starts)
+
+
+@pytest.mark.parametrize("n", [0, -1, -3])
+def test_interior_grid_refuses_an_empty_grid(n):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        interior_grid_1d(0.5, 0.25, n)
+
+
+@pytest.mark.parametrize(
+    "argument, kwargs",
+    [
+        ("n_pairs", {"n_pairs": 0}),
+        ("n_pairs", {"n_pairs": -3}),
+        ("radius", {"radius": 0.0}),
+        ("radius", {"radius": -1.0}),
+        ("radius", {"radius": math.nan}),
+        ("radius", {"radius": math.inf}),
+    ],
+    ids=["n_pairs-zero", "n_pairs-negative", "radius-zero", "radius-negative", "radius-nan", "radius-inf"],
+)
+def test_smoothness_refuses_a_meaningless_argument(argument, kwargs):
+    # each of these returned 0.0, a vacuous lower bound on L, or failed on a non-finite point
+    land, x0 = _quadratic4()
+    with pytest.raises(ValueError, match=argument):
+        estimate_smoothness(land, x0, **kwargs)
+
+
 # -- the batched helpers against their per-point loops ---------------------------------
 
 def _reference_basin_radius(landscape, x_star, r_max, n_radial, n_directions=64, seed=0):
@@ -289,6 +331,12 @@ def _rank2_quadratic():
     return Quadratic(part, smoothness=1.5), BlockedVector(np.zeros(part.p), part)
 
 
+def _scalar_blocks_quadratic():
+    # D = p = 8: SING steps every coordinate by exactly eta
+    part = BlockPartition.of([(f"x{k}", (1,)) for k in range(8)])
+    return Quadratic(part, smoothness=1.5), BlockedVector(np.zeros(part.p), part)
+
+
 # (landscape and minimum, r_max, n_radial, n_directions); the wells' first
 # violations sit at index 638 and 841 of direction +1, the wide well's at
 # index 7058 of direction -1, and a cubic's at index 0 of one direction
@@ -300,6 +348,7 @@ BASIN_CASES = {
     "cubic-index-0-second-direction": (lambda: _cubic_at_zero(1.0), 2.0, 1000, 64),
     "rosenbrock": (_rosenbrock_minimum, 2.0, 1000, 16),
     "quadratic-rank-2": (_rank2_quadratic, 2.0, 200, 8),
+    "quadratic-scalar-blocks": (_scalar_blocks_quadratic, 2.0, 200, 8),
 }
 
 
@@ -351,19 +400,37 @@ def _rank2_quadratic_starts():
     return land, x_star, starts
 
 
+def _scalar_blocks_quadratic_starts():
+    land, x_star = _scalar_blocks_quadratic()
+    rng = np.random.default_rng(7)
+    starts = 0.4 * rng.standard_normal((60, land.partition.p))
+    # the minimum, and starts with one zero block: SING cannot step from those
+    starts[0] = 0.0
+    starts[5::5, 3] = 0.0
+    return land, x_star, starts
+
+
 @pytest.mark.parametrize("method", ["gd", "ngd", "sing"])
-@pytest.mark.parametrize("make", [_rosenbrock_starts, _rank2_quadratic_starts], ids=["rosenbrock", "quadratic-rank-2"])
+@pytest.mark.parametrize(
+    "make",
+    [_rosenbrock_starts, _rank2_quadratic_starts, _scalar_blocks_quadratic_starts],
+    ids=["rosenbrock", "quadratic-rank-2", "quadratic-scalar-blocks"],
+)
 def test_single_step_on_general_partitions_equals_the_per_start_loop(make, method):
     land, x_star, starts = make()
     for eta in (0.0, 0.3, 1.2):
         got = single_step_escape_check(land, x_star, 0.5, eta, method, starts)
         want = _reference_single_step(land, x_star, 0.5, eta, method, starts)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-    # Rosenbrock's minimum, and for SING the quadratic's row-constant starts
+    # Rosenbrock's minimum, for SING the rank-2 quadratic's row-constant
+    # starts, and the scalar-block quadratic's minimum and zero-block starts
+    unusable = np.flatnonzero(~got[1]).tolist()
     if make is _rosenbrock_starts:
-        assert np.flatnonzero(~got[1]).tolist() == [0]
+        assert unusable == [0]
+    elif make is _rank2_quadratic_starts:
+        assert unusable == (list(range(0, 60, 4)) if method == "sing" else [])
     else:
-        assert np.flatnonzero(~got[1]).tolist() == (list(range(0, 60, 4)) if method == "sing" else [])
+        assert unusable == (list(range(0, 60, 5)) if method == "sing" else [0])
 
 
 def test_escape_helpers_evaluate_no_wells_point(monkeypatch):
