@@ -110,9 +110,9 @@ class BlockPartition:
 
     @cached_property
     def centralize_views(self) -> tuple[tuple[slice, tuple[int, ...], tuple[int, ...], int], ...]:
-        """``(slice, shape, trailing axes, trailing count)`` of every block of rank > 1."""
+        """``(slice, shape, trailing axes 2 to rank, trailing count)`` of each rank > 1 block behind a row axis."""
         return tuple(
-            (sl, shape, tuple(range(1, len(shape))), math.prod(shape[1:]))
+            (sl, shape, tuple(range(2, len(shape) + 1)), math.prod(shape[1:]))
             for sl, (_, shape) in zip(self.slices, self.blocks)
             if len(shape) > 1
         )

@@ -21,6 +21,7 @@ datasets are bit-identical across runs and platforms for a given seed.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -104,7 +105,7 @@ class Quadratic(Landscape):
     """F(x) = 0.5 * L * ||x||^2 on an arbitrary partition; smoothness constant L."""
 
     def __init__(self, partition: BlockPartition, smoothness: float = 2.0):
-        if smoothness <= 0:
+        if not smoothness > 0:
             raise ValueError("smoothness must be positive")
         self.partition = partition
         self.smoothness = smoothness
@@ -137,7 +138,7 @@ class Well:
     width: float
 
     def __post_init__(self) -> None:
-        if self.depth <= 0 or self.width <= 0:
+        if not (self.depth > 0 and self.width > 0):
             raise ValueError("well depth and width must be positive")
 
 
@@ -155,7 +156,7 @@ class GaussianWells1D(Landscape):
     SCAN = (-12.0, 12.0, 120001)
 
     def __init__(self, curvature: float, wells: list[Well]):
-        if curvature < 0:
+        if not curvature >= 0:
             raise ValueError("curvature must be >= 0")
         self.partition = BlockPartition.of([("x", (1,))])
         self.curvature = curvature
@@ -179,7 +180,9 @@ class GaussianWells1D(Landscape):
         self.offset = -float(self._raw(np.array([lo, *self._minima, hi])).min())
 
     @classmethod
+    @functools.cache
     def default(cls) -> "GaussianWells1D":
+        """The default wells, built on the first call in a process and shared: no method mutates them."""
         return cls(
             curvature=0.02,
             wells=[Well(0.8, -4.0, 0.10), Well(0.9, -1.5, 0.12), Well(2.0, 2.5, 1.0)],
@@ -270,7 +273,7 @@ def make_blobs(seed: int, n: int, classes: int, dim: int, spread: float) -> Blob
     """Labelled blobs: centers on a circle of radius 2, labels balanced within 1."""
     if not n >= classes >= 2:
         raise ValueError(f"need n >= classes >= 2, got n={n}, classes={classes}")
-    if dim < 1 or spread < 0:
+    if dim < 1 or not spread >= 0:
         raise ValueError("dim must be >= 1 and spread >= 0")
     centers = _class_centers(classes, dim)
     gen = Xoshiro256(derive_seed(seed, 0xB10B5))
@@ -310,7 +313,7 @@ class MlpTask(Landscape):
     ):
         if hidden < 1:
             raise ValueError("hidden must be >= 1")
-        if loss_scale <= 0:
+        if not loss_scale > 0:
             raise ValueError("loss_scale must be positive")
         self.dataset = dataset
         self.hidden = hidden
@@ -470,7 +473,7 @@ def fd_gradient(landscape: Landscape, x: BlockedVector, h: float) -> BlockedVect
     one ``landscape.losses`` call evaluates them all, or, when 2p rows of p
     would exceed ``_FD_POINTS_ELEMENTS``, one call per run of coordinates.
     """
-    if h <= 0:
+    if not h > 0:
         raise ValueError("step h must be positive")
     if x.partition != landscape.partition:
         raise ValueError("partition mismatch")

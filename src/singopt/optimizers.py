@@ -77,9 +77,9 @@ class HostOptimizerConfig:
             raise ConfigError(f"beta2 must be in [0, 1), got {self.beta2}", ("beta2",))
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}", ("momentum",))
-        if self.eps_opt <= 0.0:
+        if not self.eps_opt > 0.0:
             raise ConfigError(f"eps_opt must be > 0, got {self.eps_opt}", ("eps_opt",))
-        if self.softplus_beta <= 0.0:
+        if not self.softplus_beta > 0.0:
             raise ConfigError(f"softplus_beta must be > 0, got {self.softplus_beta}", ("softplus_beta",))
 
 
@@ -108,7 +108,7 @@ class Schedule:
     def __post_init__(self) -> None:
         if self.kind not in ("constant", "cosine"):
             raise ConfigError(f"unknown schedule kind {self.kind!r}", ("kind",))
-        if self.base_lr <= 0.0:
+        if not self.base_lr > 0.0:
             raise ConfigError(f"base_lr must be > 0, got {self.base_lr}", ("base_lr",))
         if self.total_steps < 1:
             raise ConfigError(f"total_steps must be >= 1, got {self.total_steps}", ("total_steps",))
@@ -130,7 +130,7 @@ class SingPipelineConfig:
     weight_decay_skip: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
-        if self.weight_decay < 0.0:
+        if not self.weight_decay >= 0.0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}", ("weight_decay",))
         object.__setattr__(self, "weight_decay_skip", frozenset(self.weight_decay_skip))
 

@@ -47,7 +47,7 @@ class StandardizeConfig:
     epsilon: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
 
     @classmethod
@@ -62,12 +62,16 @@ def centralize(g: BlockedVector) -> BlockedVector:
     copied unchanged.
     """
     out = g.copy()
-    values = out.values
-    # the sum and division of ndarray.mean over the trailing axes, without its fixed cost per call
-    for sl, shape, axes, count in g.partition.centralize_views:
-        block = values[sl].reshape(shape)
-        block -= np.add.reduce(block, axis=axes, keepdims=True) / count
+    _centralize_rows(out.values[None], g.partition)
     return out
+
+
+def _centralize_rows(h: np.ndarray, partition: BlockPartition) -> None:
+    """``centralize`` every row of an (n, p) array in place: the one centralize walk."""
+    # the sum and division of ndarray.mean over the trailing axes, without its fixed cost per call
+    for sl, shape, axes, count in partition.centralize_views:
+        block = h[:, sl].reshape(len(h), *shape)
+        block -= np.add.reduce(block, axis=axes, keepdims=True) / count
 
 
 def gamma(g: BlockedVector) -> np.ndarray:
@@ -101,9 +105,7 @@ def sing_rows(rows: np.ndarray, partition: BlockPartition) -> tuple[np.ndarray, 
     a mask of the rows it would not refuse with :class:`ZeroGradientBlockError`.
     """
     h = np.array(rows, dtype=np.float64)
-    for sl, shape, axes, count in partition.centralize_views:
-        block = h[:, sl].reshape(len(h), *shape)
-        block -= np.add.reduce(block, axis=tuple(a + 1 for a in axes), keepdims=True) / count
+    _centralize_rows(h, partition)
     norms = np.sqrt(np.stack([row_dots(h[:, sl], h[:, sl]) for sl in partition.slices], axis=1))
     with np.errstate(divide="ignore", invalid="ignore"):
         h /= np.repeat(norms, partition.sizes, axis=1)

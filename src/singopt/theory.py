@@ -57,11 +57,11 @@ class EscapeThresholds:
     D: int
 
     def __post_init__(self) -> None:
-        if self.r < 0:
+        if not self.r >= 0:
             raise ValueError("radius must be >= 0")
         if self.D < 1:
             raise ValueError("D must be >= 1")
-        if self.grad_norm < 0:
+        if not self.grad_norm >= 0:
             raise ValueError("grad_norm must be >= 0")
 
     @property
@@ -203,11 +203,11 @@ class ConvergenceRecipe:
     sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0 or self.L <= 0 or self.F0 <= 0:
+        if not (self.epsilon > 0 and self.L > 0 and self.F0 > 0):
             raise ValueError("epsilon, L and F0 must be positive")
         if self.D < 1:
             raise ValueError("D must be >= 1")
-        if self.sigma < 0:
+        if not self.sigma >= 0:
             raise ValueError("sigma must be >= 0")
 
     @property
@@ -294,7 +294,8 @@ def estimate_smoothness(
     Each pair draws ``normals(p)`` for dx and for dy, then one uniform for
     each.  Runs of pairs draw their words at once, at most
     ``_SMOOTHNESS_RUN_WORDS`` a run unless one pair needs more, so long
-    runs go through the lanes and the stream is the per-pair one.
+    runs go through the lanes and the stream is the per-pair one.  A run
+    sends its pairs at distance > 0 to one ``landscape.gradients`` call.
     """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
@@ -308,15 +309,14 @@ def estimate_smoothness(
     for start in range(0, n_pairs, run):
         pairs = min(run, n_pairs - start)
         words = gen._word_array(pairs * pair_words).reshape(pairs, pair_words)
-        directions = normals_from_words(words[:, : 24 * p]).reshape(pairs, 2, p)
-        scales = uniforms_from_words(words[:, 24 * p :])
-        for (dx, dy), (ux, uy) in zip(directions, scales):
-            x = BlockedVector(x0.values + radius * dx / norm(dx) * ux, x0.partition)
-            y = BlockedVector(x0.values + radius * dy / norm(dy) * uy, x0.partition)
-            dist = norm(x.values - y.values)
-            if dist == 0.0:
-                continue
-            _, gx = landscape.evaluate(x)
-            _, gy = landscape.evaluate(y)
-            best = max(best, norm(gx.values - gy.values) / dist)
+        directions = normals_from_words(words[:, : 24 * p]).reshape(2 * pairs, p)
+        scales = uniforms_from_words(words[:, 24 * p :]).reshape(2 * pairs, 1)
+        points = x0.values + radius * directions / np.sqrt(row_dots(directions, directions))[:, None] * scales
+        gaps = points[0::2] - points[1::2]
+        dists = np.sqrt(row_dots(gaps, gaps))
+        kept = dists != 0.0
+        if kept.any():
+            grads = landscape.gradients(points.reshape(pairs, 2, p)[kept].reshape(-1, p))
+            diffs = grads[0::2] - grads[1::2]
+            best = max(best, float((np.sqrt(row_dots(diffs, diffs)) / dists[kept]).max()))
     return best

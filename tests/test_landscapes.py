@@ -165,6 +165,10 @@ def test_wells_local_minima_is_a_fresh_list():
     assert len(second) == 3 and second is not land.local_minima()
 
 
+def test_wells_default_is_built_once_and_shared():
+    assert GaussianWells1D.default() is GaussianWells1D.default()
+
+
 def test_wells_floats_and_arrays_give_the_same_bits():
     # a float and an array square ``x - center`` the same way, so the scalar
     # calls, ``evaluate`` and a batched grid agree bit for bit

@@ -613,3 +613,12 @@ def test_batched_smoothness_draws_equal_the_per_pair_loop(monkeypatch, make, n_p
     assert np.float64(got).tobytes() == np.float64(expected).tobytes()
     assert expected > 0.0
     assert [gen.s for gen in made] == [state]
+
+
+def test_smoothness_skips_pairs_at_distance_zero_without_gradients(monkeypatch):
+    landscape, x0 = _mlp(4)
+    # zero scales put every x and y at x0
+    monkeypatch.setattr(theory, "uniforms_from_words", lambda words: np.zeros(words.shape))
+    monkeypatch.setattr(landscape, "gradients", lambda points: pytest.fail("asked for gradients"))
+    monkeypatch.setattr(landscape, "evaluate", lambda x: pytest.fail("evaluated a point"))
+    assert estimate_smoothness(landscape, x0, n_pairs=30, radius=0.5, seed=7) == 0.0
