@@ -1,24 +1,17 @@
 """Differentiable toy objectives and a tiny analytic-backprop MLP task.
 
-Every landscape exposes ``evaluate(x) -> (value, gradient)`` with an
-analytic gradient, and two batch oracles over the rows of an (m, p)
-array, refusing any other shape: ``losses(points)`` and
-``gradients(points)``, bit for bit what ``evaluate(row)[0]`` and
-``evaluate(row)[1]`` give.  The base class loops over ``evaluate``;
-:class:`GaussianWells1D` computes ``gradients`` with one array call to
-its slope.  :class:`MlpTask` has one forward pass
-for one point or a stack of points: ``evaluate`` and ``minibatch``
-follow it with the backward pass, ``losses`` runs it once per chunk of
-stacked parameters and ``accuracy`` reads its logits, so the loss the
-oracle differences is the loss ``evaluate`` differentiates, by
-construction.  :func:`fd_gradient`
-is the central-difference oracle the test suite checks the analytic
-gradients against; it asks ``losses`` for all 2p perturbed points in
-one call (in runs of coordinates past p = 362), never for a gradient.
-Synthetic data comes from the package's own integer-state PRNG so
-datasets are bit-identical across runs and platforms for a given seed.
+Each landscape writes its objective once, as ``_oracle(points)``: the
+losses and analytic gradients at the rows of an (m, p) array.  The base
+class derives the public oracles from it: ``evaluate(x) -> (value,
+gradient)`` is its row 0, and ``losses(points)`` and ``gradients(points)``
+are one call on an (m, p) array, any other shape refused, refusing a row
+whose loss or gradient is not finite as ``evaluate`` does.
+:func:`fd_gradient` is the central-difference oracle the test suite checks
+the analytic gradients against; it asks ``losses`` for all 2p perturbed
+points in one call (in runs of coordinates past p = 362), never for a
+gradient.  Synthetic data comes from the package's own integer-state PRNG
+so datasets are bit-identical across runs and platforms for a given seed.
 """
-
 from __future__ import annotations
 
 import functools
@@ -28,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocked import BlockedVector, BlockPartition, norm
+from .blocked import BlockedVector, BlockPartition, norm, row_dots
 from .rng import Xoshiro256, derive_seed
 
 __all__ = [
@@ -63,22 +56,33 @@ class EvaluationError(ArithmeticError):
 
 
 class Landscape:
-    """Base class: a partitioned domain plus an analytic evaluator."""
+    """A partitioned domain plus the one formula a subclass writes, ``_oracle(points)``: losses
+    (m,) and gradients (m, p) at the rows of an (m, p) float64 array, checking nothing.
+    ``evaluate`` is its row 0; ``losses`` and ``gradients`` are one call."""
 
     partition: BlockPartition
 
-    def evaluate(self, x: BlockedVector) -> tuple[float, BlockedVector]:
+    def _oracle(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
+
+    def evaluate(self, x: BlockedVector) -> tuple[float, BlockedVector]:
+        if x.partition != self.partition:
+            raise ValueError("partition mismatch")
+        losses, grads = self._oracle(x.values[None])
+        return self._checked(x, losses[0], grads[0])
 
     def losses(self, points: np.ndarray) -> np.ndarray:
         """The loss at each row of an (m, p) array, as ``evaluate(row)[0]``."""
-        rows = self._rows(points)
-        return np.array([self.evaluate(BlockedVector(row, self.partition))[0] for row in rows], dtype=np.float64)
+        return self._checked_oracle(points)[0]
 
     def gradients(self, points: np.ndarray) -> np.ndarray:
         """The gradient at each row of an (m, p) array, as ``evaluate(row)[1]``."""
-        rows = [self.evaluate(BlockedVector(row, self.partition))[1].values for row in self._rows(points)]
-        return np.array(rows, dtype=np.float64).reshape(-1, self.partition.p)
+        return self._checked_oracle(points)[1]
+
+    def _checked_oracle(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        losses, grads = self._oracle(self._rows(points))
+        self._checked_rows(np.isfinite(losses) & np.isfinite(grads).all(axis=1), "output")
+        return losses, grads
 
     def _rows(self, points: np.ndarray) -> np.ndarray:
         """``points`` as float64, refused unless it is an (m, p) array."""
@@ -89,9 +93,7 @@ class Landscape:
 
     def _checked(self, x: BlockedVector, value: float, grad: np.ndarray) -> tuple[float, BlockedVector]:
         if not math.isfinite(value) or not np.isfinite(grad).all():
-            raise EvaluationError(
-                f"{type(self).__name__} produced non-finite output at ||x||={norm(x.values):.3g}"
-            )
+            raise EvaluationError(f"{type(self).__name__} produced non-finite output at ||x||={norm(x.values):.3g}")
         return float(value), BlockedVector(grad, self.partition)
 
     def _checked_rows(self, finite: np.ndarray, what: str) -> None:
@@ -110,11 +112,11 @@ class Quadratic(Landscape):
         self.partition = partition
         self.smoothness = smoothness
 
-    def evaluate(self, x: BlockedVector) -> tuple[float, BlockedVector]:
-        if x.partition != self.partition:
-            raise ValueError("partition mismatch")
-        value = 0.5 * self.smoothness * float(np.dot(x.values, x.values))
-        return self._checked(x, value, self.smoothness * x.values)
+    # each class binds ``evaluate`` itself: perfbench/tracing.py wraps it per class
+    evaluate = Landscape.evaluate
+
+    def _oracle(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return 0.5 * self.smoothness * row_dots(points, points), self.smoothness * points
 
 
 class Rosenbrock(Landscape):
@@ -123,12 +125,12 @@ class Rosenbrock(Landscape):
     def __init__(self):
         self.partition = BlockPartition.of([("xy", (2,))])
 
-    def evaluate(self, x: BlockedVector) -> tuple[float, BlockedVector]:
-        if x.partition != self.partition:
-            raise ValueError("partition mismatch")
-        a, b = x.values
+    evaluate = Landscape.evaluate
+
+    def _oracle(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        a, b = points.T
         u, v = 1.0 - a, b - a * a
-        return self._checked(x, u * u + 100.0 * (v * v), np.array([-2.0 * u - 400.0 * a * v, 200.0 * v]))
+        return u * u + 100.0 * (v * v), np.stack([-2.0 * u - 400.0 * a * v, 200.0 * v], axis=1)
 
 
 @dataclass(frozen=True)
@@ -188,8 +190,6 @@ class GaussianWells1D(Landscape):
             wells=[Well(0.8, -4.0, 0.10), Well(0.9, -1.5, 0.12), Well(2.0, 2.5, 1.0)],
         )
 
-    # -- scalar API ----------------------------------------------------------
-
     def value(self, x) -> np.ndarray | float:
         return self._raw(x) + self.offset
 
@@ -208,18 +208,10 @@ class GaussianWells1D(Landscape):
             acc = acc + w.depth * (x - w.center) / w.width**2 * np.exp(-_square(x - w.center) / (2.0 * w.width**2))
         return acc
 
-    def evaluate(self, x: BlockedVector) -> tuple[float, BlockedVector]:
-        if x.partition != self.partition:
-            raise ValueError("partition mismatch")
-        t = float(x.values[0])
-        return self._checked(x, float(self.value(t)), np.array([float(self.slope(t))]))
+    evaluate = Landscape.evaluate
 
-    def gradients(self, points: np.ndarray) -> np.ndarray:
-        """One array call for every row; refuses a row where ``evaluate`` would."""
-        xs = self._rows(points)[:, 0]
-        slopes = self.slope(xs)
-        self._checked_rows(np.isfinite(self.value(xs)) & np.isfinite(slopes), "output")
-        return slopes[:, None]
+    def _oracle(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.value(points[:, 0]), self.slope(points)
 
     def local_minima(self) -> list[float]:
         """The slope's - to + crossings on the scan, bisected once at construction; a fresh list."""
@@ -294,13 +286,13 @@ class MlpTask(Landscape):
     its gradient) is optionally multiplied by ``loss_scale``, which is
     how the objective-rescaling invariance is exercised.
 
-    One forward pass, :meth:`_forward`, serves every caller: ``evaluate``
-    and ``minibatch`` run it on one point and follow it with the
-    backward pass, ``losses`` runs it on a stack of points, and
-    ``accuracy`` reads its logits.  Every pass allocates its own arrays,
-    so evaluation writes nothing onto the task.  The task keeps a one-hot
-    float copy of its labels (n x classes), built at construction; a
-    minibatch gathers its rows.
+    One forward pass, :meth:`_forward`, and one backward pass,
+    :meth:`_loss_and_grad`, serve every caller: ``evaluate`` and
+    ``minibatch`` run both on one point, ``_oracle`` and ``gradient_noise``
+    on stacks, ``losses`` the forward pass alone, ``accuracy`` its logits.
+    Every pass allocates its own arrays, so evaluation writes nothing onto
+    the task.  The task keeps a one-hot float copy of its labels (n x
+    classes), built at construction; a minibatch gathers its rows.
     """
 
     def __init__(
@@ -328,6 +320,7 @@ class MlpTask(Landscape):
         # block name -> flat slice, in partition order
         self._slices = dict(zip(self.partition.names, self.partition.slices))
         self._onehot = np.eye(classes)[dataset.labels]
+        self._pick = (np.arange(dataset.n), dataset.labels)
 
     def initial_params(self) -> BlockedVector:
         """Deterministic init: weights ~ normal / sqrt(fan_in), biases zero."""
@@ -356,15 +349,15 @@ class MlpTask(Landscape):
             return w1, values[..., None, s["b1"]], w2, values[..., None, s["b2"]]
         return w1, 0.0, w2, 0.0
 
-    def _forward(self, params, xb: np.ndarray, yb: np.ndarray):
+    def _forward(self, params, xb: np.ndarray, pick: tuple):
         """The scaled loss, hidden activations h, logits z2, e = exp(z2 - row max) and e's row sums.
 
-        ``params`` is what :meth:`_unpack` returns, for one point or a
-        stack of them; a stack gives one loss per point and a leading axis
-        on every array.  Every array is fresh, so the caller may overwrite
-        it.  A stacked ``matmul`` makes the same BLAS call per point as
-        the 2-D one, and every reduction runs along a contiguous last
-        axis, so a point's loss has the same bits alone or in a stack.
+        ``params`` (from :meth:`_unpack`) and ``xb`` are one point and batch or
+        stacks of them, ``z2[..., *pick]`` the label logits; a stack gives one
+        loss per point and a leading axis on every array.  Every array is fresh,
+        so the caller may overwrite it.  A stacked ``matmul`` makes the same BLAS
+        call per point as the 2-D one and every reduction runs along a contiguous
+        last axis, so a point's loss has the same bits alone or stacked.
         """
         w1, b1, w2, b2 = params
         h = xb @ w1.swapaxes(-1, -2)
@@ -385,45 +378,54 @@ class MlpTask(Landscape):
         total = e.sum(axis=-1)
         logsumexp = np.log(total) + zmax
         # the mean as np.mean computes it, without its fixed cost per call
-        batch = xb.shape[0]
-        loss = (logsumexp - z2[..., np.arange(batch), yb]).sum(axis=-1) / batch
+        batch = xb.shape[-2]
+        loss = (logsumexp - z2[(..., *pick)]).sum(axis=-1) / batch
         if self.loss_scale != 1.0:
             loss = loss * self.loss_scale
         return loss, h, z2, e, total
 
-    def _loss_and_grad(
-        self, x: BlockedVector, xb: np.ndarray, yb: np.ndarray, onehot: np.ndarray
-    ) -> tuple[float, np.ndarray]:
-        params = self._unpack(x)
-        batch = xb.shape[0]
-        loss, h, _, e, total = self._forward(params, xb, yb)
+    def _loss_and_grad(self, params, xb: np.ndarray, pick: tuple, onehot: np.ndarray):
+        """:meth:`_forward`'s loss and its flat gradient, with a leading axis for a stack."""
+        batch = xb.shape[-2]
+        loss, h, _, e, total = self._forward(params, xb, pick)
 
         # e becomes the softmax probabilities, then the gradient wrt z2;
         # subtracting the one-hot 0.0 leaves every other entry as it is
-        e /= total[:, None]
+        e /= total[..., None]
         e -= onehot
         e /= batch
 
-        gw2 = e.T @ h
-        gb2 = e.sum(axis=0)
+        gw2 = e.swapaxes(-1, -2) @ h
+        gb2 = e.sum(axis=-2)
         gh = e @ params[2]
         np.multiply(h, h, out=h)
         np.subtract(1.0, h, out=h)  # h is now tanh' = 1 - h*h
         gh *= h
-        gw1 = gh.T @ xb
-        gb1 = gh.sum(axis=0)
+        gw1 = gh.swapaxes(-1, -2) @ xb
+        gb1 = gh.sum(axis=-2)
 
         grads = {"W1": gw1, "b1": gb1, "W2": gw2, "b2": gb2}
-        grad = np.concatenate([grads[name].ravel() for name in self._slices])
+        grad = np.concatenate([grads[name].reshape(loss.shape + (-1,)) for name in self._slices], axis=-1)
         if self.loss_scale != 1.0:
             grad *= self.loss_scale
-        return float(loss), grad
+        return loss, grad
+
+    def _chunks(self, points: np.ndarray):
+        """(rows, stacked params) per chunk of ``points``, hidden activations under ``_LOSSES_CHUNK_ELEMENTS``."""
+        step = max(1, _LOSSES_CHUNK_ELEMENTS // (self.dataset.n * self.hidden))
+        for start in range(0, points.shape[0], step):
+            yield slice(start, start + step), self._unpack(points[start : start + step])
+
+    def _oracle(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        losses, grads = np.empty(points.shape[0]), np.empty(points.shape)
+        for rows, params in self._chunks(points):
+            losses[rows], grads[rows] = self._loss_and_grad(params, self.dataset.xs, self._pick, self._onehot)
+        return losses, grads
 
     def evaluate(self, x: BlockedVector) -> tuple[float, BlockedVector]:
         if x.partition != self.partition:
             raise ValueError("partition mismatch")
-        data = self.dataset
-        return self._checked(x, *self._loss_and_grad(x, data.xs, data.labels, self._onehot))
+        return self._checked(x, *self._loss_and_grad(self._unpack(x), self.dataset.xs, self._pick, self._onehot))
 
     def minibatch(self, x: BlockedVector, idx: np.ndarray) -> tuple[float, BlockedVector]:
         idx = np.asarray(idx, dtype=np.int64)
@@ -431,39 +433,36 @@ class MlpTask(Landscape):
             raise ValueError("batch must be nonempty")
         if idx.min() < 0 or idx.max() >= self.dataset.n:
             raise ValueError(f"batch indices outside [0, {self.dataset.n})")
-        data = self.dataset
-        return self._checked(x, *self._loss_and_grad(x, data.xs[idx], data.labels[idx], self._onehot[idx]))
+        pick = (np.arange(idx.size), self.dataset.labels[idx])
+        return self._checked(x, *self._loss_and_grad(self._unpack(x), self.dataset.xs[idx], pick, self._onehot[idx]))
 
     def losses(self, points: np.ndarray) -> np.ndarray:
-        """Full-batch loss at each row of ``points``, bit for bit as ``evaluate``.
-
-        One stacked :meth:`_forward` per chunk of rows; chunks keep the
-        hidden activations under ``_LOSSES_CHUNK_ELEMENTS`` elements.
-        """
+        """Full-batch loss at each row of ``points``, bit for bit as ``evaluate``, from the forward pass alone."""
         points = self._rows(points)
-        data = self.dataset
-        step = max(1, _LOSSES_CHUNK_ELEMENTS // (data.n * self.hidden))
         out = np.empty(points.shape[0])
-        for start in range(0, points.shape[0], step):
-            chunk = points[start : start + step]
-            out[start : start + chunk.shape[0]] = self._forward(self._unpack(chunk), data.xs, data.labels)[0]
+        for rows, params in self._chunks(points):
+            out[rows] = self._forward(params, self.dataset.xs, self._pick)[0]
         self._checked_rows(np.isfinite(out), "loss")
         return out
 
     def accuracy(self, x: BlockedVector) -> float:
         data = self.dataset
-        z2 = self._forward(self._unpack(x), data.xs, data.labels)[2]
+        z2 = self._forward(self._unpack(x), data.xs, self._pick)[2]
         return float(np.mean(z2.argmax(axis=1) == data.labels))
 
     def gradient_noise(self, x: BlockedVector) -> float:
-        """Empirical sigma^2: mean squared deviation of per-sample gradients."""
+        """Empirical sigma^2: mean squared deviation of per-sample gradients, as one stack of n one-sample batches."""
         _, full = self.evaluate(x)
+        data = self.dataset
+        # sample i is the one-row batch i of the stack: its label logit is z2[i, 0, label i]
+        pick = (self._pick[0][:, None], np.arange(1), data.labels[:, None])
+        _, grads = self._loss_and_grad(self._unpack(x), data.xs[:, None], pick, self._onehot[:, None])
+        self._checked_rows(np.isfinite(grads).all(axis=1), "gradient")
+        diff = grads - full.values
         total = 0.0
-        for i in range(self.dataset.n):
-            _, gi = self.minibatch(x, np.array([i]))
-            diff = gi.values - full.values
-            total += float(np.dot(diff, diff))
-        return total / self.dataset.n
+        for square in row_dots(diff, diff).tolist():  # left to right, as a loop over samples adds
+            total += square
+        return total / data.n
 
 
 def fd_gradient(landscape: Landscape, x: BlockedVector, h: float) -> BlockedVector:

@@ -373,8 +373,8 @@ def test_run_names_the_block_whose_norm_overflows():
     class Tilted(Landscape):
         partition = BlockPartition.of([("w", (3,)), ("v", (2,))])
 
-        def evaluate(self, x):
-            return self._checked(x, 0.0, np.full(5, 1e-3))
+        def _oracle(self, points):
+            return np.zeros(points.shape[0]), np.full((points.shape[0], 5), 1e-3)
 
     # gradient, update and mean stay finite; only the norm of the huge block w overflows
     x0 = BlockedVector(np.array([1e200, 1e200, 1e200, 1.0, 1.0]), Tilted.partition)

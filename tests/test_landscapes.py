@@ -188,9 +188,11 @@ def test_wells_gradients_equal_evaluate_bit_for_bit():
     got = land.gradients(xs[:, None])
     assert got.shape == (xs.size, 1)
     assert got.tobytes() == np.array([land.evaluate(land.as_point(x))[1].values for x in xs]).tobytes()
+    assert land.losses(xs[:, None]).tobytes() == np.array([land.evaluate(land.as_point(x))[0] for x in xs]).tobytes()
 
 
-# the base class's loop over ``evaluate``: a rank-2 block, Rosenbrock and the check suite's MLP
+# every batch oracle is one ``_oracle`` call and ``evaluate`` is its row 0:
+# a rank-2 block, Rosenbrock and the check suite's MLP
 GRADIENTS_CASES = {
     "quadratic-rank-2": (lambda: Quadratic(BlockPartition.of([("a", (3,)), ("w", (2, 2))]), smoothness=1.5), 2.0),
     "rosenbrock": (Rosenbrock, 1.5),
@@ -204,21 +206,43 @@ def test_gradients_equal_evaluate_bit_for_bit(name):
     land = make()
     start = land.initial_params().values if isinstance(land, MlpTask) else np.zeros(land.partition.p)
     points = start + np.random.default_rng(len(name)).uniform(-scale, scale, (9, land.partition.p))
-    want = np.array([land.evaluate(BlockedVector(row, land.partition))[1].values for row in points])
+    evaluated = [land.evaluate(BlockedVector(row, land.partition)) for row in points]
+    want = np.array([grad.values for _, grad in evaluated])
     assert land.gradients(points).tobytes() == want.tobytes()
     assert land.gradients(points[:0]).shape == (0, land.partition.p)
+    assert land.losses(points).tobytes() == np.array([loss for loss, _ in evaluated]).tobytes()
 
 
-@pytest.mark.parametrize("name", ["wells1d", "quadratic"])
+# (landscape, a row evaluate refuses); the rows around it are accepted
+REFUSAL_CASES = {
+    # at 1e200 the wells' slope is finite but their value is not
+    "wells1d": (GaussianWells1D.default, [1e200]),
+    "quadratic": (lambda: Quadratic(BlockPartition.of([("x", (1,))])), [1e200]),
+    # 0.5 * L * 1.5^2 = 1.69e308 is finite, the gradient L * 1.5 is not
+    "quadratic-gradient-overflow": (lambda: Quadratic(BlockPartition.of([("x", (1,))]), smoothness=1.5e308), [1.5]),
+    "rosenbrock": (Rosenbrock, [1e200, 0.0]),
+    "mlp": (lambda: small_mlp(n=30), np.nan),
+}
+
+
+@pytest.mark.parametrize("name", REFUSAL_CASES)
 def test_gradients_refuse_a_non_finite_row(name):
-    # at 1e200 the wells' slope is finite but their value is not: evaluate refuses the point
-    land = GaussianWells1D.default() if name == "wells1d" else Quadratic(BlockPartition.of([("x", (1,))]))
-    points = np.array([[0.5], [1e200], [0.0]])
-    with np.errstate(over="ignore"):
-        with pytest.raises(EvaluationError):
-            land.evaluate(BlockedVector(points[1], land.partition))
-        with pytest.raises(EvaluationError, match="row 1 of 3" if name == "wells1d" else None):
-            land.gradients(points)
+    # losses and gradients refuse exactly the rows evaluate refuses
+    make, bad = REFUSAL_CASES[name]
+    land = make()
+    points = np.zeros((3, land.partition.p))
+    points[1] = bad
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, row in enumerate(points):
+            if i == 1:
+                with pytest.raises(EvaluationError):
+                    land.evaluate(BlockedVector(row, land.partition))
+            else:
+                land.evaluate(BlockedVector(row, land.partition))
+        for oracle in (land.losses, land.gradients):
+            with pytest.raises(EvaluationError, match="row 1 of 3"):
+                oracle(points)
+            assert len(oracle(points[[0, 2]])) == 2
 
 
 # -- finite differences ----------------------------------------------------------
@@ -241,8 +265,8 @@ def test_fd_gradient_exact_on_linear():
             self.partition = BlockPartition.of([("x", (3,))])
             self.c = np.array([2.0, -1.0, 0.5])
 
-        def evaluate(self, x):
-            return self._checked(x, float(self.c @ x.values), self.c.copy())
+        def _oracle(self, points):
+            return points @ self.c, np.tile(self.c, (points.shape[0], 1))
 
     land = Linear()
     # power-of-two data keeps all the dot products exact, so the central
@@ -393,10 +417,26 @@ def test_minibatch_rejects_bad_indices():
         task.minibatch(x, np.array([-1]))
 
 
+def _reference_gradient_noise(task, x):
+    _, full = task.evaluate(x)
+    total = 0.0
+    for i in range(task.dataset.n):
+        _, gi = task.minibatch(x, np.array([i]))
+        diff = gi.values - full.values
+        total += float(np.dot(diff, diff))
+    return total / task.dataset.n
+
+
 def test_gradient_noise_positive_and_reported():
     task = small_mlp(n=60)
     sigma2 = task.gradient_noise(task.initial_params())
     assert sigma2 > 0
+    # one stacked pass gives the bits of a loop over one-sample minibatches
+    for task in (task, small_mlp(n=50, hidden=3, with_bias=False, loss_scale=3.0)):
+        x0 = task.initial_params().values
+        for x in (x0, x0 + 5.0 * np.random.default_rng(1).standard_normal(x0.size)):
+            x = BlockedVector(x, task.partition)
+            assert task.gradient_noise(x) == _reference_gradient_noise(task, x)
 
 
 def test_loss_scale_multiplies_loss_and_gradient():
@@ -671,9 +711,9 @@ def test_mlp_losses_bit_identical_to_evaluate(monkeypatch, case, rows_per_chunk)
         monkeypatch.setattr(landscapes, "_LOSSES_CHUNK_ELEMENTS", rows_per_chunk * n * hidden)
     # 71 rows are three chunks or more at n * hidden >= 960 (the check suite's task)
     points = _stacked_points(task, 7 if rows_per_chunk else 71, seed=n + hidden)
-    got = task.losses(points)
-    want = np.array([task.evaluate(BlockedVector(row, task.partition))[0] for row in points])
-    assert got.tobytes() == want.tobytes()
+    evaluated = [task.evaluate(BlockedVector(row, task.partition)) for row in points]
+    assert task.losses(points).tobytes() == np.array([loss for loss, _ in evaluated]).tobytes()
+    assert task.gradients(points).tobytes() == np.array([grad.values for _, grad in evaluated]).tobytes()
 
 
 FD_CASES = {
@@ -745,6 +785,8 @@ def test_batch_oracles_take_only_m_by_p_arrays(name):
         for oracle in (land.losses, land.gradients):
             with pytest.raises(ValueError, match=rf"points must have shape \(m, {p}\)"):
                 oracle(points)
+    assert land.losses(np.zeros((0, p))).shape == (0,)
+    assert land.gradients(np.zeros((0, p))).shape == (0, p)
 
 
 def test_non_finite_loss_raises_from_losses_and_fd_gradient():

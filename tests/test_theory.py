@@ -92,9 +92,8 @@ def test_basin_radius_saddle_is_zero():
         def __init__(self):
             self.partition = BlockPartition.of([("x", (1,))])
 
-        def evaluate(self, x):
-            t = float(x.values[0])
-            return self._checked(x, t**3, np.array([3.0 * t * t]))
+        def _oracle(self, points):
+            return points[:, 0] ** 3, 3.0 * points * points
 
     land = Cubic()
     # the cubic's critical point at 0 has no ball inside its basin
@@ -306,9 +305,8 @@ class _Cubic(Landscape):
         self.partition = BlockPartition.of([("x", (1,))])
         self.sign = sign
 
-    def evaluate(self, x):
-        t = float(x.values[0])
-        return self._checked(x, self.sign * t**3, np.array([self.sign * 3.0 * t * t]))
+    def _oracle(self, points):
+        return self.sign * points[:, 0] ** 3, self.sign * 3.0 * points * points
 
 
 def _cubic_at_zero(sign):
