@@ -51,6 +51,33 @@ def _square(d):
     return d * d
 
 
+# The MLP pass's short-axis sums, with the bits of numpy's ``sum``.  Its
+# ``sum(axis=-1)`` adds fewer than 8 terms left to right from +0.0; from 8
+# on, its pairwise sum keeps eight partial sums.  Its ``sum(axis=-2)`` adds
+# the rows in order, as ``einsum`` does, except over a single column, which
+# it sums pairwise.  Past each bound the helper calls ``sum`` itself.
+def _row_sums(a):
+    """``a.sum(axis=-1)``, as left-to-right column adds between 2 and 7 columns.
+
+    The adds start from the first column, not from +0.0, so they differ
+    from ``sum`` only on a row that is all -0.0; ``exp`` never returns one.
+    """
+    columns = a.shape[-1]
+    if not 1 < columns < 8:
+        return a.sum(axis=-1)
+    total = a[..., 0] + a[..., 1]
+    for c in range(2, columns):
+        total += a[..., c]
+    return total
+
+
+def _column_sums(a):
+    """``a.sum(axis=-2)`` of a C-contiguous array, as ``einsum`` unless ``a`` has one column."""
+    if a.shape[-1] == 1:
+        return a.sum(axis=-2)
+    return np.einsum("...ij->...j", a)
+
+
 class EvaluationError(ArithmeticError):
     """A landscape produced a non-finite value or gradient."""
 
@@ -290,9 +317,14 @@ class MlpTask(Landscape):
     :meth:`_loss_and_grad`, serve every caller: ``evaluate`` and
     ``minibatch`` run both on one point, ``_oracle`` and ``gradient_noise``
     on stacks, ``losses`` the forward pass alone, ``accuracy`` its logits.
-    Every pass allocates its own arrays, so evaluation writes nothing onto
-    the task.  The task keeps a one-hot float copy of its labels (n x
-    classes), built at construction; a minibatch gathers its rows.
+    The softmax row sums and bias gradients are short-axis sums, where
+    ``sum``'s fixed cost per call is most of the work; ``_row_sums`` and
+    ``_column_sums`` give its bits for less, and call ``sum`` itself from 8
+    classes and at one hidden unit or class, where numpy adds in another
+    order.  Every pass allocates its own arrays, so evaluation writes
+    nothing onto the task.  The task keeps a one-hot float copy of its
+    labels (n x classes), built at construction; a minibatch gathers its
+    rows.
     """
 
     def __init__(
@@ -336,11 +368,17 @@ class MlpTask(Landscape):
     def _unpack(self, x):
         """W1, b1, W2, b2 of one point (a BlockedVector) or of each row of an (m, p) array.
 
-        A stack gets a leading axis on every block.  A bias gets an axis
-        of length 1 before its units, so it broadcasts over the samples;
-        an absent bias is 0.0.
+        A point on another partition is refused, whichever oracle asks.  A
+        stack gets a leading axis on every block.  A bias gets an axis of
+        length 1 before its units, so it broadcasts over the samples; an
+        absent bias is 0.0.
         """
-        values = x.values if isinstance(x, BlockedVector) else x
+        if isinstance(x, BlockedVector):
+            if x.partition != self.partition:
+                raise ValueError("partition mismatch")
+            values = x.values
+        else:
+            values = x
         lead = values.shape[:-1]
         s = self._slices
         w1 = values[..., s["W1"]].reshape(lead + (self.hidden, -1))
@@ -375,7 +413,7 @@ class MlpTask(Landscape):
             np.maximum(zmax, z2[..., c], out=zmax)
         e = z2 - zmax[..., None]
         np.exp(e, out=e)
-        total = e.sum(axis=-1)
+        total = _row_sums(e)
         logsumexp = np.log(total) + zmax
         # the mean as np.mean computes it, without its fixed cost per call
         batch = xb.shape[-2]
@@ -396,13 +434,13 @@ class MlpTask(Landscape):
         e /= batch
 
         gw2 = e.swapaxes(-1, -2) @ h
-        gb2 = e.sum(axis=-2)
+        gb2 = _column_sums(e)
         gh = e @ params[2]
         np.multiply(h, h, out=h)
         np.subtract(1.0, h, out=h)  # h is now tanh' = 1 - h*h
         gh *= h
         gw1 = gh.swapaxes(-1, -2) @ xb
-        gb1 = gh.sum(axis=-2)
+        gb1 = _column_sums(gh)
 
         grads = {"W1": gw1, "b1": gb1, "W2": gw2, "b2": gb2}
         grad = np.concatenate([grads[name].reshape(loss.shape + (-1,)) for name in self._slices], axis=-1)
@@ -423,8 +461,6 @@ class MlpTask(Landscape):
         return losses, grads
 
     def evaluate(self, x: BlockedVector) -> tuple[float, BlockedVector]:
-        if x.partition != self.partition:
-            raise ValueError("partition mismatch")
         return self._checked(x, *self._loss_and_grad(self._unpack(x), self.dataset.xs, self._pick, self._onehot))
 
     def minibatch(self, x: BlockedVector, idx: np.ndarray) -> tuple[float, BlockedVector]:

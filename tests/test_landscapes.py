@@ -815,3 +815,110 @@ def test_fd_gradient_memory_on_a_readme_sized_task():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20
+
+
+def test_mlp_oracles_reject_a_foreign_partition():
+    # the task's own values under a one-block partition: every MLP oracle refuses them
+    task = small_mlp(n=60)
+    x = task.initial_params()
+    foreign = BlockedVector(x.values, BlockPartition.of([("flat", (task.partition.p,))]))
+    oracles = {
+        "evaluate": task.evaluate,
+        "minibatch": lambda v: task.minibatch(v, np.arange(8)),
+        "accuracy": task.accuracy,
+        "gradient_noise": task.gradient_noise,
+    }
+    for name, oracle in oracles.items():
+        with pytest.raises(ValueError, match="partition mismatch"):
+            oracle(foreign)
+        oracle(x)
+
+
+# -- the pass against a reference copy that sums with ``sum`` -------------------------
+
+class _SumReferenceMlp(MlpTask):
+    # ``_forward`` and ``_loss_and_grad`` as they were before ``_row_sums`` and
+    # ``_column_sums``, copied verbatim (docstrings dropped): every short-axis
+    # reduction is numpy's ``sum``.  Every oracle of the task must agree with
+    # this class bit for bit, since every trace digest depends on the pass.
+    def _forward(self, params, xb: np.ndarray, pick: tuple):
+        w1, b1, w2, b2 = params
+        h = xb @ w1.swapaxes(-1, -2)
+        h += b1
+        np.tanh(h, out=h)
+        z2 = h @ w2.swapaxes(-1, -2)
+        z2 += b2
+
+        # Row max, one class column at a time: a max returns one of its
+        # inputs (NaN propagates), so this equals z2.max(axis=-1) up to the
+        # sign of a zero, which neither exp(z2 - zmax) nor log(total) + zmax
+        # can see.  ``1 % classes`` keeps a one-class task valid.
+        zmax = np.maximum(z2[..., 0], z2[..., 1 % self._classes])
+        for c in range(2, self._classes):
+            np.maximum(zmax, z2[..., c], out=zmax)
+        e = z2 - zmax[..., None]
+        np.exp(e, out=e)
+        total = e.sum(axis=-1)
+        logsumexp = np.log(total) + zmax
+        # the mean as np.mean computes it, without its fixed cost per call
+        batch = xb.shape[-2]
+        loss = (logsumexp - z2[(..., *pick)]).sum(axis=-1) / batch
+        if self.loss_scale != 1.0:
+            loss = loss * self.loss_scale
+        return loss, h, z2, e, total
+
+    def _loss_and_grad(self, params, xb: np.ndarray, pick: tuple, onehot: np.ndarray):
+        batch = xb.shape[-2]
+        loss, h, _, e, total = self._forward(params, xb, pick)
+
+        # e becomes the softmax probabilities, then the gradient wrt z2;
+        # subtracting the one-hot 0.0 leaves every other entry as it is
+        e /= total[..., None]
+        e -= onehot
+        e /= batch
+
+        gw2 = e.swapaxes(-1, -2) @ h
+        gb2 = e.sum(axis=-2)
+        gh = e @ params[2]
+        np.multiply(h, h, out=h)
+        np.subtract(1.0, h, out=h)  # h is now tanh' = 1 - h*h
+        gh *= h
+        gw1 = gh.swapaxes(-1, -2) @ xb
+        gb1 = gh.sum(axis=-2)
+
+        grads = {"W1": gw1, "b1": gb1, "W2": gw2, "b2": gb2}
+        grad = np.concatenate([grads[name].reshape(loss.shape + (-1,)) for name in self._slices], axis=-1)
+        if self.loss_scale != 1.0:
+            grad *= self.loss_scale
+        return loss, grad
+
+
+def _same_bytes(got, want):
+    assert float.hex(got[0]) == float.hex(want[0])
+    assert got[1].values.tobytes() == want[1].values.tobytes()
+
+
+# (classes, hidden): row sums on both sides of 8 classes, bias-gradient
+# column sums at one hidden unit and at several
+SUM_CASES = [(classes, hidden) for classes in range(2, 13) for hidden in (1, 2, 16, 33)]
+
+
+@pytest.mark.parametrize("classes, hidden", SUM_CASES, ids=[f"c{c}-h{h}" for c, h in SUM_CASES])
+def test_mlp_pass_bit_identical_to_the_sum_reference(classes, hidden):
+    n, dim = 130, 1 + classes % 3
+    dataset = make_blobs(seed=classes, n=n, classes=classes, dim=dim, spread=0.3)
+    rng = np.random.default_rng(100 * classes + hidden)
+    for with_bias, loss_scale in ((True, 1.0), (True, 3.0), (False, 1.0), (False, 3.0)):
+        kwargs = {"hidden": hidden, "init_seed": dim, "loss_scale": loss_scale, "with_bias": with_bias}
+        task, ref = MlpTask(dataset, **kwargs), _SumReferenceMlp(dataset, **kwargs)
+        # rows near the start and far from it (saturated tanh, large logits)
+        points = _stacked_points(task, 3, seed=classes + hidden)
+        for row in points:
+            x = BlockedVector(row, task.partition)
+            _same_bytes(task.evaluate(x), ref.evaluate(x))
+            for size in (1, 2, 7, 128):
+                idx = rng.permutation(n)[:size]
+                _same_bytes(task.minibatch(x, idx), ref.minibatch(x, idx))
+            assert float.hex(task.gradient_noise(x)) == float.hex(ref.gradient_noise(x))
+        assert task.losses(points).tobytes() == ref.losses(points).tobytes()
+        assert task.gradients(points).tobytes() == ref.gradients(points).tobytes()

@@ -5,7 +5,11 @@ call the kernels that ``np.linalg.norm`` and ``ndarray.mean`` call, without
 the wrappers.  These properties compare them with the wrappers through
 ``.tobytes()``, so a sign of zero or a nan payload counts too.  The row
 forms, ``blocked.row_dots`` and ``standardize.sing_rows``, are compared the
-same way with ``blocked.norm`` and ``sing_transform`` of each row.
+same way with ``blocked.norm`` and ``sing_transform`` of each row.  The
+MLP pass's short-axis sums, ``landscapes._row_sums`` and ``_column_sums``,
+are compared with ``sum`` inside the bounds where they do not call it: a
+numpy that reorders those reductions fails here by name, not only as a
+trace digest that moved.
 """
 
 import numpy as np
@@ -15,6 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from singopt.blocked import BlockPartition, BlockedVector, norm, row_dots
+from singopt.landscapes import _column_sums, _row_sums
 from singopt.standardize import StandardizeConfig, ZeroGradientBlockError, centralize, sing_rows, sing_transform
 
 EXACT = StandardizeConfig(epsilon=0.0)
@@ -100,3 +105,21 @@ def test_long_rows_equal_the_per_vector_reductions(shapes):
     rng = np.random.default_rng(part.p)
     rows = rng.standard_normal((4, part.p)) * np.array([[1.0], [1e-150], [1e150], [0.0]])
     _assert_rows_equal_the_per_vector_reductions(rows, part)
+
+
+# stacks of (rows, columns) arrays, C-contiguous as the MLP pass makes them
+def _sum_arrays(columns, elements):
+    return st.tuples(
+        st.lists(st.integers(1, 3), max_size=1).map(tuple), st.integers(1, 20), columns
+    ).flatmap(lambda shape: arrays(np.float64, shape[0] + shape[1:], elements=elements))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_sum_arrays(st.integers(2, 7), values.map(abs)), _sum_arrays(st.integers(2, 12), values))
+@example(np.array([[5e-324, 0.0, 1e300, 1e-300, 1e300, 0.0]]), np.array([[-0.0, 0.0], [0.0, -0.0]]))
+@example(np.full((2, 9, 7), 1e-310), np.array([[1e300, -1e300, 5e-324], [1.0, 1e300, -5e-324]] * 9))
+def test_mlp_short_axis_sums_equal_numpy_sum_byte_for_byte(nonnegative, signed):
+    # row sums see e = exp(...), never negative and never -0.0
+    with np.errstate(all="ignore"):
+        assert _row_sums(nonnegative).tobytes() == nonnegative.sum(axis=-1).tobytes()
+        assert _column_sums(signed).tobytes() == signed.sum(axis=-2).tobytes()
