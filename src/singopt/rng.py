@@ -5,11 +5,15 @@ Short draws step the state on plain Python integers; long draws step many
 lanes at once in numpy ``uint64`` arrays, each lane started a fixed number
 of words ahead by a jump (:mod:`singopt.lanes`), and give the same words in
 the same order.  Both are exact integer arithmetic, so the stream is
-bit-identical on every platform.  Uniform doubles are built from the top
-53 bits of a 64-bit output; approximately-normal draws use a 12-uniform
-sum, which involves only correctly-rounded IEEE additions and therefore
-stays bit-identical across platforms (a transcendental-based transform
-such as Box-Muller would inherit libm differences).
+bit-identical on every platform.  A run of Fisher-Yates shuffles takes its
+words in one draw (:meth:`Xoshiro256.permutations`); the minibatch order
+(``runner.EpochBatcher``) draws epochs ahead in runs that double up to
+``SHUFFLE_MAX_WORDS`` words, and each order is the one a shuffle at a time
+would give.  Uniform doubles are built from the top 53 bits of a 64-bit
+output; approximately-normal draws use a 12-uniform sum, which involves
+only correctly-rounded IEEE additions and therefore stays bit-identical
+across platforms (a transcendental-based transform such as Box-Muller
+would inherit libm differences).
 """
 
 from __future__ import annotations
@@ -23,6 +27,11 @@ _MASK64 = (1 << 64) - 1
 # draws of this many words or more step numpy lanes (singopt.lanes); below it
 # the scalar loop is faster
 _LANE_MIN_WORDS = 1024
+# most words a run of shuffles drawn ahead takes at once (runner.EpochBatcher):
+# a lane draw's fixed cost is spread thin by then (n = 2000: 0.56 ms an epoch
+# one at a time, 0.25 ms 16 at a time, 0.24 ms 32 at a time), and more
+# epochs only hold more memory
+SHUFFLE_MAX_WORDS = 1 << 15
 # rows of normals per block: 12 words a row, at most 1 MiB of words
 _NORMALS_BLOCK = (1 << 17) // 12
 
@@ -110,20 +119,34 @@ class Xoshiro256:
         return words
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of range(n), as an int64 array.
+        """Fisher-Yates permutation of range(n), as an int64 array: ``permutations(n, 1)[0]``."""
+        return self.permutations(n, 1)[0]
 
-        It draws the :meth:`next_u64` stream, one word per swap:
-        ``j = next_u64() % (i + 1)`` for ``i = n-1`` down to 1, and leaves
-        the generator where ``n - 1`` calls of :meth:`next_u64` would.  The
-        remainders are one uint64 array op; the swaps run on a list, which
-        saves numpy scalar indexing.
+    def permutations(self, n: int, count: int) -> np.ndarray:
+        """``count`` successive Fisher-Yates permutations of range(n), as a ``(count, n)`` int64 array.
+
+        Each row draws the :meth:`next_u64` stream, one word per swap:
+        ``j = next_u64() % (i + 1)`` for ``i = n-1`` down to 1.  All
+        ``count * (n - 1)`` words come from one draw, so a long run of
+        shuffles pays the fixed cost of a lane draw once; row k is the k-th
+        of ``count`` successive :meth:`permutation` calls, and the generator
+        is left where they would leave it.  The remainders are one uint64
+        array op; the swaps run on a list, one row at a time, which saves
+        numpy scalar indexing without holding every row's Python ints.
         """
-        idx = list(range(n))
-        if n > 1:
-            js = self._word_array(n - 1) % np.arange(n, 1, -1, dtype=np.uint64)
-            for i, j in zip(range(n - 1, 0, -1), js.tolist()):
+        if n < 0 or count < 0:
+            raise ValueError(f"permutations needs n >= 0 and count >= 0, got n={n}, count={count}")
+        swaps = max(n - 1, 0)
+        js = self._word_array(count * swaps).reshape(count, swaps)
+        js %= np.arange(n, 1, -1, dtype=np.uint64)
+        out = np.empty((count, n), dtype=np.int64)
+        identity = list(range(n))
+        for row, row_js in zip(out, js):
+            idx = identity.copy()
+            for i, j in zip(range(n - 1, 0, -1), row_js.tolist()):
                 idx[i], idx[j] = idx[j], idx[i]
-        return np.array(idx, dtype=np.int64)
+            row[:] = idx
+        return out
 
 
 def uniforms_from_words(words: np.ndarray) -> np.ndarray:

@@ -32,7 +32,7 @@ from .landscapes import (
     make_blobs,
 )
 from .optimizers import ConfigError, OptimizerState, lr_at, step
-from .rng import Xoshiro256, derive_seed
+from .rng import SHUFFLE_MAX_WORDS, Xoshiro256, derive_seed
 from .standardize import ZeroGradientBlockError, centralize
 from .trace import RunTrace
 
@@ -56,18 +56,39 @@ class RunResult:
 
 
 class EpochBatcher:
-    """Without-replacement minibatch order, reshuffled each epoch."""
+    """Without-replacement minibatch order, reshuffled each epoch.
+
+    Epoch orders are drawn ahead with :meth:`Xoshiro256.permutations`, in
+    runs that double from one epoch up to ``SHUFFLE_MAX_WORDS`` words per
+    draw, so a run pays a lane draw's fixed cost once per refill rather than
+    once per epoch.  The orders, and so the batches, are those of one
+    :meth:`Xoshiro256.permutation` call per epoch.
+    """
 
     def __init__(self, n: int, batch_size: int, seed: int):
+        if n < 1:
+            raise ValueError(f"EpochBatcher needs n >= 1 points, got n={n}")
+        if batch_size < 1:
+            raise ValueError(f"EpochBatcher needs batch_size >= 1, got batch_size={batch_size}")
         self.n = n
         self.batch_size = min(batch_size, n)
         self.gen = Xoshiro256(derive_seed(seed, 0xBA7C4))
-        self._order = self.gen.permutation(self.n)
+        self._max_run = max(1, SHUFFLE_MAX_WORDS // n)
+        self._drawn = np.empty((0, n), dtype=np.int64)  # the last refill's orders
+        self._used = 0  # how many of them have been handed out
+        self._order = self._next_order()
         self._pos = 0
+
+    def _next_order(self) -> np.ndarray:
+        if self._used == len(self._drawn):
+            self._drawn = self.gen.permutations(self.n, min(2 * len(self._drawn) or 1, self._max_run))
+            self._used = 0
+        self._used += 1
+        return self._drawn[self._used - 1]
 
     def next_indices(self) -> np.ndarray:
         if self._pos >= self.n:
-            self._order = self.gen.permutation(self.n)
+            self._order = self._next_order()
             self._pos = 0
         idx = self._order[self._pos : self._pos + self.batch_size]
         self._pos += self.batch_size
